@@ -3,30 +3,32 @@ products, braided-Lie-bialgebra conditions, bisums and the algebraic
 cocycle formula.
 
 Direct sums are always ordered B-part first, then A-part, matching the
-pair notation (x, a) of the semidirect product.
+pair notation (x, a) of the semidirect product.  Every identity is a
+signed sum of tensor_contract terms, as in prelie and liebialg.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iproduct
 
-from .exact_core import Scalar, Tensor, ZERO
+from .exact_core import Scalar, Tensor, ZERO, contract_sum, tensor_contract
 from .liebialg import (
     ActionTensor,
     LieAlgebra,
     LieBialgebra,
     LieCoalgebra,
-    basis_vec,
+    _leading,
     check_bialgebra_cocycle,
     check_lie_algebra,
     coadjoint_action,
     dualize,
-    vec_is_zero,
-    zero_vec,
 )
 from .prelie import (
     PreLieProduct,
+    _delta_gstar,
+    _xi_ass_terms,
+    _xi_con_terms,
+    check_bicovariance,
     check_compatibility,
     check_left_symmetry,
     induced_bracket,
@@ -95,29 +97,11 @@ class CotangentInput:
 
 def check_module_condition(S: SemidirectInput, with_witnesses=False):
     """a |> (x*y) == (a|>x)*y + x*(a|>y) on all basis triples."""
-    nA, nB = S.A.dim, S.B.dim
-    witnesses = []
-    act = S.action.coefficients
-    star = S.B.xi
-    for a in range(nA):
-        for x, y in iproduct(range(nB), repeat=2):
-            lhs = zero_vec(nB)
-            for m in range(nB):
-                s = star.get(x, y, m)
-                if not s.is_zero():
-                    for out in range(nB):
-                        lhs[out] = lhs[out] + s * act.get(a, m, out)
-            rhs = zero_vec(nB)
-            for m in range(nB):
-                v1 = act.get(a, x, m)
-                v2 = act.get(a, y, m)
-                for out in range(nB):
-                    if not v1.is_zero():
-                        rhs[out] = rhs[out] + v1 * star.get(m, y, out)
-                    if not v2.is_zero():
-                        rhs[out] = rhs[out] + v2 * star.get(x, m, out)
-            if not vec_is_zero([l - r for l, r in zip(lhs, rhs)]):
-                witnesses.append((a, x, y))
+    act, star = S.action.coefficients, S.B.xi
+    defect = contract_sum([(1, "xym,amo->axyo", star, act),
+                           (-1, "axm,myo->axyo", act, star),
+                           (-1, "aym,xmo->axyo", act, star)])
+    witnesses = _leading(defect, 3)
     if with_witnesses:
         return {"module_condition": not witnesses, "witnesses": witnesses}
     return not witnesses
@@ -155,29 +139,15 @@ def semidirect_prelie(S: SemidirectInput) -> PreLieProduct:
 
 
 def _check_commutative(X: PreLieProduct):
-    n = X.dim
-    for i, j, k in iproduct(range(n), repeat=3):
-        if X.xi.get(i, j, k) != X.xi.get(j, i, k):
-            return False
-    return True
+    return contract_sum([(1, "ijk->ijk", X.xi),
+                         (-1, "jik->ijk", X.xi)]).is_zero()
 
 
 def check_associative(X: PreLieProduct, with_witnesses=False):
-    n = X.dim
-    witnesses = []
-    for i, j, k in iproduct(range(n), repeat=3):
-        lhs = zero_vec(n)
-        rhs = zero_vec(n)
-        for m in range(n):
-            a = X.xi.get(i, j, m)
-            b = X.xi.get(j, k, m)
-            for out in range(n):
-                if not a.is_zero():
-                    lhs[out] = lhs[out] + a * X.xi.get(m, k, out)
-                if not b.is_zero():
-                    rhs[out] = rhs[out] + b * X.xi.get(i, m, out)
-        if lhs != rhs:
-            witnesses.append((i, j, k))
+    xi = X.xi
+    assoc = contract_sum([(1, "ijm,mko->ijko", xi, xi),
+                          (-1, "jkm,imo->ijko", xi, xi)])
+    witnesses = _leading(assoc, 3)
     if with_witnesses:
         return {"associative": not witnesses, "witnesses": witnesses}
     return not witnesses
@@ -219,14 +189,6 @@ def tangent_prelie(circ: PreLieProduct, star: PreLieProduct,
     return semidirect_prelie(S)
 
 
-def _delta_gstar_tensor(B: LieBialgebra) -> Tensor:
-    """delta_{g*} as a tensor: d*[k,i,j] = c^k_{ij} (transpose of bracket)."""
-    n = B.dim
-    return Tensor((n, n, n), {
-        (k, i, j): v for (i, j, k), v in B.algebra.bracket.entries.items()
-    })
-
-
 def check_tangent_bicovariance(circ: PreLieProduct, star: PreLieProduct,
                                B: LieBialgebra, with_witnesses=False):
     """The five identities that make the tangent calculus bicovariant.
@@ -243,68 +205,20 @@ def check_tangent_bicovariance(circ: PreLieProduct, star: PreLieProduct,
     n = B.dim
     if circ.dim != n or star.dim != n:
         raise ValueError("dimension mismatch")
-    delta = _delta_gstar_tensor(B)
+    delta = _delta_gstar(B)
     gstar_bracket = dualize(B).algebra.bracket
-    witnesses = []
-
-    def delta_vec(vec):
-        acc = {}
-        for k, c in enumerate(vec):
-            if c.is_zero():
-                continue
-            for (kk, a, b), v in delta.entries.items():
-                if kk == k:
-                    acc[(a, b)] = acc.get((a, b), ZERO) + c * v
-        return acc
-
-    for f, h in iproduct(range(n), repeat=2):
-        fv, hv = basis_vec(n, f), basis_vec(n, h)
-        # (1)
-        if any(not v.is_zero()
-               for v in delta_vec(circ.product(fv, hv)).values()):
-            witnesses.append(("delta-circ", f, h))
-        # (4)
-        if any(not v.is_zero()
-               for v in delta_vec(star.product(fv, hv)).values()):
-            witnesses.append(("delta-star", f, h))
-        # (2): f(1) (x) [f(2), h]
-        acc = {}
-        for (kk, a, b), v in delta.entries.items():
-            if kk != f:
-                continue
-            for out in range(n):
-                w = v * gstar_bracket.get(b, h, out)
-                if not w.is_zero():
-                    acc[(a, out)] = acc.get((a, out), ZERO) + w
-        if any(not v.is_zero() for v in acc.values()):
-            witnesses.append(("mixed-bracket", f, h))
-        # (5): phi * f(1) (x) f(2)  (phi = basis h here, f as before)
-        acc = {}
-        for (kk, a, b), v in delta.entries.items():
-            if kk != f:
-                continue
-            for out in range(n):
-                w = v * star.xi.get(h, a, out)
-                if not w.is_zero():
-                    acc[(out, b)] = acc.get((out, b), ZERO) + w
-        if any(not v.is_zero() for v in acc.values()):
-            witnesses.append(("star-delta", h, f))
-        # (3): f(1) o h (x) f(2) + f o h(1) (x) h(2) = 0
-        acc = {}
-        for (kk, a, b), v in delta.entries.items():
-            if kk == f:
-                for out in range(n):
-                    w = v * circ.xi.get(a, h, out)
-                    if not w.is_zero():
-                        acc[(out, b)] = acc.get((out, b), ZERO) + w
-            if kk == h:
-                for out in range(n):
-                    w = v * circ.xi.get(f, a, out)
-                    if not w.is_zero():
-                        acc[(out, b)] = acc.get((out, b), ZERO) + w
-        if any(not v.is_zero() for v in acc.values()):
-            witnesses.append(("circ-delta", f, h))
-
+    circ, star = circ.xi, star.xi
+    identities = [
+        ("delta-circ", [(1, "fhk,kab->fhab", circ, delta)]),
+        ("delta-star", [(1, "fhk,kab->fhab", star, delta)]),
+        ("mixed-bracket", [(1, "fab,bho->fhao", delta, gstar_bracket)]),
+        # keyed (phi, f): phi * f(1) (x) f(2)
+        ("star-delta", [(1, "fab,hao->hfob", delta, star)]),
+        ("circ-delta", [(1, "fab,aho->fhob", delta, circ),
+                        (1, "hab,fao->fhob", delta, circ)]),
+    ]
+    witnesses = [(name,) + w for name, terms in identities
+                 for w in _leading(contract_sum(terms), 2)]
     if with_witnesses:
         return {"tangent_bicovariant": not witnesses, "witnesses": witnesses}
     return not witnesses
@@ -328,45 +242,12 @@ def check_braided_conditions(X: PreLieProduct, B: LieBialgebra,
         raise ValueError("dimension mismatch")
     if not check_compatibility(X, dualize(B).algebra):
         raise ValueError("Xi is not compatible with the g* bracket")
-    delta = _delta_gstar_tensor(B)
-    witnesses = []
-
-    for p, q in iproduct(range(n), repeat=2):
-        # (Xi-ass)
-        acc = {}
-        out_vec = X.product(basis_vec(n, p), basis_vec(n, q))
-        for (kk, a, b), v in delta.entries.items():
-            c = out_vec[kk]
-            if not c.is_zero():
-                acc[(a, b)] = acc.get((a, b), ZERO) + c * v
-        for (kk, a, b), v in delta.entries.items():
-            if kk != q:
-                continue
-            for out in range(n):
-                w = v * X.xi.get(p, a, out)
-                if not w.is_zero():
-                    acc[(out, b)] = acc.get((out, b), ZERO) - w
-                w = v * X.xi.get(p, b, out)
-                if not w.is_zero():
-                    acc[(a, out)] = acc.get((a, out), ZERO) - w
-        if any(not v.is_zero() for v in acc.values()):
-            witnesses.append(("Xi-ass", p, q))
-        # (Xi-con)
-        acc = {}
-        for (kk, a, b), v in delta.entries.items():
-            if kk == p:
-                for out in range(n):
-                    w = v * X.xi.get(a, q, out)
-                    if not w.is_zero():
-                        acc[(out, b)] = acc.get((out, b), ZERO) + w
-            if kk == q:
-                for out in range(n):
-                    w = v * X.xi.get(b, p, out)
-                    if not w.is_zero():
-                        acc[(a, out)] = acc.get((a, out), ZERO) - w
-        if any(not v.is_zero() for v in acc.values()):
-            witnesses.append(("Xi-con", p, q))
-
+    delta = _delta_gstar(B)
+    witnesses = [
+        (name,) + w
+        for name, terms in (("Xi-ass", _xi_ass_terms(X.xi, delta)),
+                            ("Xi-con", _xi_con_terms(X.xi, delta)))
+        for w in _leading(contract_sum(terms), 2)]
     if with_witnesses:
         return {"braided": not witnesses, "witnesses": witnesses}
     return not witnesses
@@ -389,31 +270,13 @@ def infinitesimal_braiding(X: PreLieProduct, B: LieBialgebra) -> Tensor:
     if X.dim != n:
         raise ValueError("dimension mismatch")
     co = coadjoint_action(B).coefficients  # ad*_{e_i} f^j = sum a[i,j,k] f^k
-    # alpha(f^q) = sum_{i,k} (-Xi[i,q,k]) e_i (x) f^k
-    entries = {}
-
-    def bump(idx, v):
-        if not v.is_zero():
-            entries[idx] = entries.get(idx, ZERO) + v
-
-    for p, q in iproduct(range(n), repeat=2):
-        # ad*_{psi(1)} phi (x) psi(2) with psi = f^q, phi = f^p:
-        # psi(1) = e_i coeff -Xi[i,q,k], psi(2) = f^k
-        for (i, qq, k), xv in X.xi.entries.items():
-            if qq != q:
-                continue
-            for out in range(n):
-                v = (-xv) * co.get(i, p, out)
-                bump((p, q, out, k), v)       # + ad*psi1 phi (x) psi2
-                bump((p, q, k, out), -v)      # - psi2 (x) ad*psi1 phi
-        for (i, pp, k), xv in X.xi.entries.items():
-            if pp != p:
-                continue
-            for out in range(n):
-                v = (-xv) * co.get(i, q, out)
-                bump((p, q, out, k), -v)      # - ad*phi1 psi (x) phi2
-                bump((p, q, k, out), v)       # + phi2 (x) ad*phi1 psi
-    return Tensor((n, n, n, n), entries)
+    # alpha(f^q) = sum_{i,k} (-Xi[i,q,k]) e_i (x) f^k, so
+    # ad*_{psi(1)} phi (x) psi(2) = -sum_i Xi[i,q,k] ad*_{e_i} f^p (x) f^k
+    xi = X.xi
+    return contract_sum([(-1, "iqk,ipo->pqok", xi, co),
+                         (1, "iqk,ipo->pqko", xi, co),
+                         (1, "ipk,iqo->pqok", xi, co),
+                         (-1, "ipk,iqo->pqko", xi, co)])
 
 
 def bisum_bialgebra(X: PreLieProduct, B: LieBialgebra) -> LieBialgebra:
@@ -525,10 +388,7 @@ def check_cotangent_bicovariance(C: CotangentInput, with_witnesses=False):
       - (Xiad)   Xi(phi,psi)([x,y]) = Xi(phi, ad*_y psi)(x)
                                       - (phi o ad*_x psi)(y).
     """
-    from .prelie import check_bicovariance
-
     B = C.carrier
-    n = B.dim
     witnesses = []
     if not check_bicovariance(C.circ, B):
         witnesses.append(("circ-Xi-bi",))
@@ -538,47 +398,23 @@ def check_cotangent_bicovariance(C: CotangentInput, with_witnesses=False):
 
     co = coadjoint_action(B).coefficients
     c = B.algebra.bracket
-    star = C.star.xi
-
-    # (ast): [x,y]*z = [y,z]*x on all basis triples
-    for x, y, z in iproduct(range(n), repeat=3):
-        lhs = zero_vec(n)
-        rhs = zero_vec(n)
-        for m in range(n):
-            a = c.get(x, y, m)
-            b = c.get(y, z, m)
-            for out in range(n):
-                if not a.is_zero():
-                    lhs[out] = lhs[out] + a * star.get(m, z, out)
-                if not b.is_zero():
-                    rhs[out] = rhs[out] + b * star.get(m, x, out)
-        if lhs != rhs:
-            witnesses.append(("ast", x, y, z))
-
-    # (circad): ((ad*_x psi) o phi)(y) + Xi(ad*_y phi, psi)(x) = 0
-    # components: evaluate on basis x=e_x, y=e_y, phi=f^p, psi=f^q.
-    for x, y in iproduct(range(n), repeat=2):
-        for p, q in iproduct(range(n), repeat=2):
-            s = ZERO
-            for m in range(n):
-                s = s + co.get(x, q, m) * C.circ.xi.get(m, p, y)
-                s = s + co.get(y, p, m) * C.xi.xi.get(m, q, x)
-            if not s.is_zero():
-                witnesses.append(("circad", x, y, p, q))
-
-    # (Xiad): Xi(phi,psi)([x,y]) = Xi(phi,ad*_y psi)(x) - (phi o ad*_x psi)(y)
-    for x, y in iproduct(range(n), repeat=2):
-        for p, q in iproduct(range(n), repeat=2):
-            lhs = ZERO
-            for m in range(n):
-                lhs = lhs + C.xi.xi.get(p, q, m) * c.get(x, y, m)
-            rhs = ZERO
-            for m in range(n):
-                rhs = rhs + co.get(y, q, m) * C.xi.xi.get(p, m, x)
-                rhs = rhs - co.get(x, q, m) * C.circ.xi.get(p, m, y)
-            if lhs != rhs:
-                witnesses.append(("Xiad", x, y, p, q))
-
+    star, circ, xi = C.star.xi, C.circ.xi, C.xi.xi
+    identities = [
+        # (ast): [x,y]*z - [y,z]*x, keyed (x, y, z, out)
+        ("ast", 3, [(1, "xym,mzo->xyzo", c, star),
+                    (-1, "yzm,mxo->xyzo", c, star)]),
+        # (circad): ((ad*_x psi) o phi)(y) + Xi(ad*_y phi, psi)(x),
+        # keyed (x, y, phi, psi)
+        ("circad", 4, [(1, "xqm,mpy->xypq", co, circ),
+                       (1, "ypm,mqx->xypq", co, xi)]),
+        # (Xiad): Xi(phi,psi)([x,y]) - Xi(phi,ad*_y psi)(x)
+        #         + (phi o ad*_x psi)(y)
+        ("Xiad", 4, [(1, "pqm,xym->xypq", xi, c),
+                     (-1, "yqm,pmx->xypq", co, xi),
+                     (1, "xqm,pmy->xypq", co, circ)]),
+    ]
+    witnesses += [(name,) + w for name, r, terms in identities
+                  for w in _leading(contract_sum(terms), r)]
     if with_witnesses:
         return {"cotangent_bicovariant": not witnesses, "witnesses": witnesses}
     return not witnesses
@@ -606,36 +442,28 @@ def cocycle_D(X: PreLieProduct, B: LieBialgebra, phi) -> Tensor:
         raise ValueError("phi has wrong length")
     co = coadjoint_action(B).coefficients
     half = Scalar(1) / Scalar(2)
+    phi_t = Tensor((n,), {(q,): v for q, v in enumerate(phi)})
+    # alpha(phi) = sum_{i,k} alpha[i,k] e_i (x) f^k
+    alpha = contract_sum([(-1, "iqk,q->ik", X.xi, phi_t)])
+    # ad*_{phi(1)} phi (x) phi(2), keyed (g* leg, g* leg)
+    ad = tensor_contract("ik,ipo,p->ok", alpha, co, phi_t)
 
     entries = {}
 
     def bump(i, j, v):
-        if not v.is_zero():
-            entries[(i, j)] = entries.get((i, j), ZERO) + v
+        entries[(i, j)] = entries.get((i, j), ZERO) + v
 
     # delta_{g*} phi: transpose of bracket, lands in g* (x) g*
-    for (i, j, k), v in B.algebra.bracket.entries.items():
-        bump(i, j, phi[k] * v)
-
-    # alpha(phi) = sum_q phi_q alpha(f^q), alpha(f^q) = -Xi[i,q,k] e_i (x) f^k
-    # first quadratic term: (id-tau) alpha(phi) with legs in g (x) g*
-    for (i, q, k), v in X.xi.entries.items():
-        coeff = phi[q] * (-v)
-        if coeff.is_zero():
-            continue
-        bump(n + i, k, coeff)      # phi(1) (x) phi(2)
-        bump(k, n + i, -coeff)     # - tau of it
-    # second: -(1/2)(id-tau)(ad*_{phi(1)} phi (x) phi(2)), in g* (x) g*
-    for (i, q, k), v in X.xi.entries.items():
-        base = phi[q] * (-v)
-        if base.is_zero():
-            continue
-        for p, cp in enumerate(phi):
-            if cp.is_zero():
-                continue
-            for out in range(n):
-                w = base * cp * co.get(i, p, out)
-                bump(out, k, -half * w)
-                bump(k, out, half * w)
+    for (i, j), v in tensor_contract("ijk,k->ij", B.algebra.bracket,
+                                     phi_t).entries.items():
+        bump(i, j, v)
+    # (id - tau) alpha(phi), with legs in g (x) g*
+    for (i, k), v in alpha.entries.items():
+        bump(n + i, k, v)
+        bump(k, n + i, -v)
+    # -(1/2)(id - tau)(ad*_{phi(1)} phi (x) phi(2)), in g* (x) g*
+    for (o, k), v in ad.entries.items():
+        bump(o, k, -half * v)
+        bump(k, o, half * v)
 
     return Tensor((N, N), entries)

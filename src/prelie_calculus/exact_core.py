@@ -9,6 +9,8 @@ sends lambda to -lambda).  No floating point anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from operator import itemgetter
 
 __all__ = [
     "Scalar",
@@ -23,6 +25,7 @@ __all__ = [
     "L_ZERO",
     "L_ONE",
     "tensor_contract",
+    "contract_sum",
     "linear_kernel",
     "ratfunc_equal",
     "genpoly_derivative",
@@ -59,6 +62,8 @@ class Scalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if not (self.im or o.im):
+            return Scalar(self.re + o.re, self.im)
         return Scalar(self.re + o.re, self.im + o.im)
 
     __radd__ = __add__
@@ -67,6 +72,8 @@ class Scalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if not (self.im or o.im):
+            return Scalar(self.re - o.re, self.im)
         return Scalar(self.re - o.re, self.im - o.im)
 
     def __rsub__(self, other):
@@ -76,14 +83,14 @@ class Scalar:
         return o - self
 
     def __neg__(self):
-        return Scalar(-self.re, -self.im)
+        return Scalar(-self.re, -self.im if self.im else self.im)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self.im == 0 and o.im == 0:
-            return Scalar(self.re * o.re)
+        if not (self.im or o.im):
+            return Scalar(self.re * o.re, self.im)
         return Scalar(
             self.re * o.re - self.im * o.im,
             self.re * o.im + self.im * o.re,
@@ -324,16 +331,6 @@ class Tensor:
         s = _as_scalar(s)
         return Tensor(self.shape, {i: v * s for i, v in self.entries.items()})
 
-    def permute(self, perm):
-        """Axes reordered so that new axis p holds old axis perm[p]."""
-        if sorted(perm) != list(range(len(self.shape))):
-            raise ValueError("not a permutation")
-        shape = tuple(self.shape[p] for p in perm)
-        return Tensor(
-            shape,
-            {tuple(idx[p] for p in perm): v for idx, v in self.entries.items()},
-        )
-
     def is_zero(self):
         return not self.entries
 
@@ -349,50 +346,153 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.shape}, nnz={len(self.entries)})"
 
+    @classmethod
+    def _nonzero(cls, shape, entries):
+        """Tensor over entries already keyed inside shape, dropping the
+        zero values without revalidating the keys."""
+        t = object.__new__(cls)
+        object.__setattr__(t, "shape", shape)
+        object.__setattr__(t, "entries",
+                           {k: v for k, v in entries.items()
+                            if not v.is_zero()})
+        return t
+
     @staticmethod
     def kronecker(n):
         return Tensor((n, n), {(i, i): ONE for i in range(n)})
 
 
-def tensor_contract(a: Tensor, b: Tensor, pairs) -> Tensor:
-    """Contract tensor a with tensor b over the given axis pairs.
+def _tuple_getter(positions):
+    """Key projection that always returns a tuple."""
+    if len(positions) == 1:
+        p, = positions
+        return lambda key: (key[p],)
+    if not positions:
+        return lambda key: ()
+    return itemgetter(*positions)
 
-    pairs is a list of (axis_of_a, axis_of_b).  The result carries the
-    remaining axes of a (in order) followed by the remaining axes of b.
+
+def _bucket_getter(positions):
+    """Key projection for bucketing; only equality of results matters."""
+    return itemgetter(*positions) if positions else (lambda key: ())
+
+
+@lru_cache(maxsize=1024)
+def _plan(spec, shapes):
+    """Validated plan for an einsum-style spec such as "ijm,mko->ijko"
+    over operands of the given shapes: the output shape, one set of key
+    projections per pairwise join, and the final reorder (or None)."""
+    lhs, arrow, out = spec.partition("->")
+    ins = lhs.split(",")
+    if not arrow or len(ins) != len(shapes):
+        raise ValueError(f"spec {spec!r} does not fit {len(shapes)} operands")
+    dims = {}
+    for labels, shape in zip(ins, shapes):
+        if len(labels) != len(shape) or len(set(labels)) != len(labels):
+            raise ValueError(f"labels {labels!r} do not fit shape {shape}")
+        for label, d in zip(labels, shape):
+            if dims.setdefault(label, d) != d:
+                raise ValueError(f"dimension mismatch on label {label!r}: "
+                                 f"{dims[label]} vs {d}")
+    if len(set(out)) != len(out) or not set(out) <= set(dims):
+        raise ValueError(f"bad output labels {out!r}")
+    # join left to right; a label is summed away as soon as neither the
+    # output nor a later operand carries it
+    joins = []
+    labels = ins[0]
+    for pos in range(1, len(ins)):
+        right = ins[pos]
+        later = set(out).union(*ins[pos + 1:])
+        shared = [c for c in labels if c in right]
+        keep_l = [c for c in labels if c in later]
+        keep_r = [c for c in right if c in later and c not in labels]
+        joins.append((_bucket_getter([right.index(c) for c in shared]),
+                      _tuple_getter([right.index(c) for c in keep_r]),
+                      _bucket_getter([labels.index(c) for c in shared]),
+                      _tuple_getter([labels.index(c) for c in keep_l])))
+        labels = "".join(keep_l + keep_r)
+    final = None
+    if labels != out:
+        final = (_tuple_getter([labels.index(c) for c in out]),
+                 len(out) == len(labels))
+    return tuple(dims[c] for c in out), joins, final
+
+
+def _contract(spec, operands):
+    """Output shape and a fresh dict from output keys to Scalars, zeros
+    included."""
+    shape, joins, final = _plan(spec, tuple(t.shape for t in operands))
+    cur = operands[0].entries
+    for (key_r, rest_r, key_l, left_l), t in zip(joins, operands[1:]):
+        buckets = {}
+        for key, v in t.entries.items():
+            buckets.setdefault(key_r(key), []).append((rest_r(key), v))
+        acc = {}
+        get = acc.get
+        for key, v in cur.items():
+            hits = buckets.get(key_l(key))
+            if hits is None:
+                continue
+            left = left_l(key)
+            for rest, w in hits:
+                k = left + rest
+                p = v * w
+                old = get(k)
+                acc[k] = p if old is None else old + p
+        cur = acc
+    if final is None:
+        return shape, (cur if joins else dict(cur))
+    proj, is_reorder = final
+    if is_reorder:
+        return shape, {proj(key): v for key, v in cur.items()}
+    acc = {}
+    get = acc.get
+    for key, v in cur.items():
+        k = proj(key)
+        old = get(k)
+        acc[k] = v if old is None else old + v
+    return shape, acc
+
+
+def tensor_contract(spec, *operands) -> Tensor:
+    """Sparse einsum over Tensors, e.g. tensor_contract("ijm,mko->ijko",
+    c, c) = sum_m c[i,j,m] c[m,k,o].
+
+    Each operand gets one label per axis; labels absent from the output
+    are summed over, and a single operand with a permuted output is a
+    pure axis reorder.  Only nonzero entries are ever visited.
     """
-    a_axes = [p for p, _ in pairs]
-    b_axes = [q for _, q in pairs]
-    if len(set(a_axes)) != len(a_axes) or len(set(b_axes)) != len(b_axes):
-        raise ValueError("repeated contraction axis")
-    for p, q in pairs:
-        if a.shape[p] != b.shape[q]:
-            raise ValueError(
-                f"dimension mismatch on axes {p},{q}: "
-                f"{a.shape[p]} vs {b.shape[q]}"
-            )
-    a_keep = [p for p in range(len(a.shape)) if p not in a_axes]
-    b_keep = [q for q in range(len(b.shape)) if q not in b_axes]
-    shape = tuple(a.shape[p] for p in a_keep) + tuple(b.shape[q] for q in b_keep)
+    return Tensor._nonzero(*_contract(spec, operands))
 
-    # bucket b's entries by their contracted sub-index
-    buckets = {}
-    for idx, val in b.entries.items():
-        key = tuple(idx[q] for q in b_axes)
-        buckets.setdefault(key, []).append(
-            (tuple(idx[q] for q in b_keep), val)
-        )
 
-    out = {}
-    for idx, val in a.entries.items():
-        key = tuple(idx[p] for p in a_axes)
-        hits = buckets.get(key)
-        if not hits:
+def contract_sum(terms) -> Tensor:
+    """Signed sum of contractions: terms are (sign, spec, *operands)
+    with sign +1 or -1, all with the same output shape.  The result
+    holds exactly the nonzero entries, so a checker reads its witnesses
+    off the leading indices of its keys."""
+    acc = shape = None
+    for sign, spec, *operands in terms:
+        if sign not in (1, -1):
+            raise ValueError(f"sign must be +1 or -1, got {sign!r}")
+        term_shape, part = _contract(spec, operands)
+        if acc is None:
+            acc, shape = part, term_shape
+            if sign < 0:
+                acc = {k: -v for k, v in acc.items()}
             continue
-        left = tuple(idx[p] for p in a_keep)
-        for right, bval in hits:
-            full = left + right
-            out[full] = out.get(full, ZERO) + val * bval
-    return Tensor(shape, out)
+        if term_shape != shape:
+            raise ValueError(f"term {spec!r} has shape {term_shape}, "
+                             f"expected {shape}")
+        get = acc.get
+        for k, v in part.items():
+            old = get(k)
+            if old is None:
+                acc[k] = v if sign > 0 else -v
+            else:
+                acc[k] = old + v if sign > 0 else old - v
+    if acc is None:
+        raise ValueError("contract_sum needs at least one term")
+    return Tensor._nonzero(shape, acc)
 
 
 def linear_kernel(m):
@@ -637,7 +737,3 @@ def ratfunc_equal(f: RatFunc, g: RatFunc) -> bool:
     """True iff f.num*g.den == g.num*f.den as GenPoly."""
     return f.num * g.den == g.num * f.den
 
-
-def scalar_matrix(rows):
-    """Convenience: build a matrix of Scalars from ints/Fractions."""
-    return [[_as_scalar(v) for v in row] for row in rows]

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 from math import comb
 
+from .dga import _sorted_forms
 from .exact_core import ONE, Scalar, ZERO, linear_kernel
 
 __all__ = [
@@ -99,21 +100,6 @@ def _validate(data: GroupDGAData):
         if composed != data.action[data.cayley[g][h]]:
             raise ValueError(f"action is not a homomorphism at {(g, h)}")
     return identity, tuple(inv)
-
-
-def _sorted_forms(forms):
-    forms = list(forms)
-    sign = ONE
-    for i in range(1, len(forms)):
-        j = i
-        while j > 0 and forms[j - 1] > forms[j]:
-            forms[j - 1], forms[j] = forms[j], forms[j - 1]
-            sign = -sign
-            j -= 1
-    for i in range(len(forms) - 1):
-        if forms[i] == forms[i + 1]:
-            return None
-    return sign, tuple(forms)
 
 
 class GroupDGA:

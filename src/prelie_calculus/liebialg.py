@@ -6,16 +6,16 @@ Everything is structure-constant data over Q(i):
 * cobracket tensor d with delta(e_i) = sum_{j,k} d[i,j,k] e_j (x) e_k
 * action tensor a with e_i |> v_j = sum_k a[i,j,k] v_k
 
-Checkers evaluate their identity on every basis tuple (dims are small)
-and return witness lists for failed tuples.
+Each checker writes its identity as a signed sum of tensor_contract
+terms over these tensors and returns, as witnesses, the basis tuples
+that lead the nonzero entries of the sum.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import product as iproduct
+from dataclasses import dataclass
 
-from .exact_core import Scalar, Tensor, ZERO, ONE
+from .exact_core import ONE, Tensor, ZERO, contract_sum
 
 __all__ = [
     "LieAlgebra",
@@ -34,8 +34,6 @@ __all__ = [
     "double_cross_sum",
     "bicross_sum",
     "check_crossed_module",
-    "bracket_vectors",
-    "apply_action",
 ]
 
 
@@ -122,56 +120,20 @@ class RMatrix:
     r: Tensor  # shape (n, n), element of g (x) g
 
 
-# ---------------------------------------------------------------------------
-# small vector helpers (vectors are lists of Scalar)
-
-def zero_vec(n):
-    return [ZERO] * n
-
-
 def basis_vec(n, i):
+    """e_i as a coefficient vector (a list of Scalar)."""
     v = [ZERO] * n
     v[i] = ONE
     return v
 
 
-def add_vec(u, v):
-    return [a + b for a, b in zip(u, v)]
-
-
-def sub_vec(u, v):
-    return [a - b for a, b in zip(u, v)]
-
-
-def scale_vec(u, s):
-    return [a * s for a in u]
-
-
-def vec_is_zero(u):
-    return all(a.is_zero() for a in u)
-
-
-def bracket_vectors(L: LieAlgebra, u, v):
-    """[u, v] for coefficient vectors u, v."""
-    out = zero_vec(L.dim)
-    for (i, j, k), c in L.bracket.entries.items():
-        f = u[i] * v[j]
-        if not f.is_zero():
-            out[k] = out[k] + f * c
-    return out
-
-
-def apply_action(a: ActionTensor, actor_vec, target_vec):
-    out = zero_vec(a.target_dim)
-    for (i, j, k), c in a.coefficients.entries.items():
-        f = actor_vec[i] * target_vec[j]
-        if not f.is_zero():
-            out[k] = out[k] + f * c
-    return out
-
-
 # ---------------------------------------------------------------------------
 # checkers
+
+
+def _leading(t: Tensor, r):
+    """Sorted distinct first-r index tuples of t's nonzero entries."""
+    return sorted({key[:r] for key in t.entries})
 
 
 def check_lie_algebra(c: Tensor):
@@ -181,26 +143,13 @@ def check_lie_algebra(c: Tensor):
     """
     if len(c.shape) != 3 or len(set(c.shape)) != 1:
         raise ValueError(f"expected shape (n,n,n), got {c.shape}")
-    n = c.shape[0]
-    anti_witnesses = []
-    for i in range(n):
-        for j in range(i, n):
-            for k in range(n):
-                if c.get(i, j, k) != -c.get(j, i, k):
-                    anti_witnesses.append((i, j, k))
-
-    jac_witnesses = []
-    for i, j, k in iproduct(range(n), repeat=3):
-        for out in range(n):
-            s = ZERO
-            for m in range(n):
-                s = s + c.get(i, j, m) * c.get(m, k, out)
-                s = s + c.get(j, k, m) * c.get(m, i, out)
-                s = s + c.get(k, i, m) * c.get(m, j, out)
-            if not s.is_zero():
-                jac_witnesses.append((i, j, k))
-                break
-
+    symmetric = contract_sum([(1, "ijk->ijk", c), (1, "jik->ijk", c)])
+    anti_witnesses = [key for key in sorted(symmetric.entries)
+                      if key[0] <= key[1]]
+    jacobi = contract_sum([(1, "ijm,mko->ijko", c, c),
+                           (1, "jkm,mio->ijko", c, c),
+                           (1, "kim,mjo->ijko", c, c)])
+    jac_witnesses = _leading(jacobi, 3)
     return {
         "antisymmetry": not anti_witnesses,
         "jacobi": not jac_witnesses,
@@ -211,47 +160,16 @@ def check_lie_algebra(c: Tensor):
     }
 
 
-def _cocycle_defect(B: LieBialgebra, i, j):
-    """delta([e_i,e_j]) - ad_i . delta(e_j) + ad_j . delta(e_i), as Tensor."""
-    n = B.dim
-    c = B.algebra.bracket
-    d = B.coalgebra.cobracket
-    out = {}
-
-    def bump(a, b, v):
-        if not v.is_zero():
-            out[(a, b)] = out.get((a, b), ZERO) + v
-
-    # delta([e_i, e_j])
-    for m in range(n):
-        cm = c.get(i, j, m)
-        if cm.is_zero():
-            continue
-        for (mm, a, b), v in d.entries.items():
-            if mm == m:
-                bump(a, b, cm * v)
-
-    # - (ad_i (x) id + id (x) ad_i) delta e_j  (+ the i<->j swap)
-    for (src, a, b), v in d.entries.items():
-        if src == j:
-            for k in range(n):
-                bump(k, b, -v * c.get(i, a, k))
-                bump(a, k, -v * c.get(i, b, k))
-        if src == i:
-            for k in range(n):
-                bump(k, b, v * c.get(j, a, k))
-                bump(a, k, v * c.get(j, b, k))
-
-    return Tensor((n, n), out)
-
-
 def check_bialgebra_cocycle(B: LieBialgebra, with_witnesses=False):
     """1-cocycle condition delta([x,y]) = ad_x delta y - ad_y delta x."""
-    witnesses = []
-    for i in range(B.dim):
-        for j in range(i + 1, B.dim):
-            if not _cocycle_defect(B, i, j).is_zero():
-                witnesses.append((i, j))
+    c = B.algebra.bracket
+    d = B.coalgebra.cobracket
+    defect = contract_sum([(1, "ijm,mpq->ijpq", c, d),
+                           (-1, "jaq,iap->ijpq", d, c),
+                           (-1, "jpb,ibq->ijpq", d, c),
+                           (1, "iaq,jap->ijpq", d, c),
+                           (1, "ipb,jbq->ijpq", d, c)])
+    witnesses = [(i, j) for i, j in _leading(defect, 2) if i < j]
     if with_witnesses:
         return {"cocycle": not witnesses, "witnesses": witnesses}
     return not witnesses
@@ -296,32 +214,19 @@ def coadjoint_action(B: LieBialgebra) -> ActionTensor:
     return ActionTensor(n, n, Tensor((n, n, n), coeffs))
 
 
-def check_action_axiom(a: ActionTensor, L: LieAlgebra, with_witnesses=False):
-    """[x,y] |> v == x |> (y |> v) - y |> (x |> v) on all basis triples."""
+def _action_defect(a: ActionTensor, L: LieAlgebra, sign):
+    """[x,y] |> v - sign (x |> (y |> v) - y |> (x |> v)), keyed (x,y,v,out)."""
     if a.actor_dim != L.dim:
         raise ValueError("actor dimension mismatch")
-    n, m = a.actor_dim, a.target_dim
-    witnesses = []
-    for i, j in iproduct(range(n), repeat=2):
-        for v in range(m):
-            lhs = zero_vec(m)
-            for k in range(n):
-                ck = L.bracket.get(i, j, k)
-                if not ck.is_zero():
-                    for out in range(m):
-                        lhs[out] = lhs[out] + ck * a.coefficients.get(k, v, out)
-            rhs = zero_vec(m)
-            for mid in range(m):
-                c1 = a.coefficients.get(j, v, mid)
-                if not c1.is_zero():
-                    for out in range(m):
-                        rhs[out] = rhs[out] + c1 * a.coefficients.get(i, mid, out)
-                c2 = a.coefficients.get(i, v, mid)
-                if not c2.is_zero():
-                    for out in range(m):
-                        rhs[out] = rhs[out] - c2 * a.coefficients.get(j, mid, out)
-            if not vec_is_zero(sub_vec(lhs, rhs)):
-                witnesses.append((i, j, v))
+    t = a.coefficients
+    return contract_sum([(1, "ijk,kvo->ijvo", L.bracket, t),
+                         (-sign, "jvm,imo->ijvo", t, t),
+                         (sign, "ivm,jmo->ijvo", t, t)])
+
+
+def check_action_axiom(a: ActionTensor, L: LieAlgebra, with_witnesses=False):
+    """[x,y] |> v == x |> (y |> v) - y |> (x |> v) on all basis triples."""
+    witnesses = _leading(_action_defect(a, L, 1), 3)
     if with_witnesses:
         return {"action": not witnesses, "witnesses": witnesses}
     return not witnesses
@@ -333,30 +238,7 @@ def check_right_action_axiom(a: ActionTensor, L: LieAlgebra,
 
     ActionTensor stores the actor index first even for right actions.
     """
-    if a.actor_dim != L.dim:
-        raise ValueError("actor dimension mismatch")
-    n, m = a.actor_dim, a.target_dim
-    witnesses = []
-    for i, j in iproduct(range(n), repeat=2):
-        for v in range(m):
-            lhs = zero_vec(m)
-            for k in range(n):
-                ck = L.bracket.get(i, j, k)
-                if not ck.is_zero():
-                    for out in range(m):
-                        lhs[out] = lhs[out] + ck * a.coefficients.get(k, v, out)
-            rhs = zero_vec(m)
-            for mid in range(m):
-                c1 = a.coefficients.get(i, v, mid)
-                if not c1.is_zero():
-                    for out in range(m):
-                        rhs[out] = rhs[out] + c1 * a.coefficients.get(j, mid, out)
-                c2 = a.coefficients.get(j, v, mid)
-                if not c2.is_zero():
-                    for out in range(m):
-                        rhs[out] = rhs[out] - c2 * a.coefficients.get(i, mid, out)
-            if not vec_is_zero(sub_vec(lhs, rhs)):
-                witnesses.append((i, j, v))
+    witnesses = _leading(_action_defect(a, L, -1), 3)
     if with_witnesses:
         return {"action": not witnesses, "witnesses": witnesses}
     return not witnesses
@@ -372,46 +254,26 @@ def check_matched_pair(P: MatchedPair, with_witnesses=False):
 
     plus both actions being genuine Lie-algebra actions.
     """
-    g, m = P.g, P.m
-    ra, la = P.right_action, P.left_action
+    mc, gc = P.m.bracket, P.g.bracket
+    ra = P.right_action.coefficients   # phi_a <| e_i = sum_k ra[i,a,k] phi_k
+    la = P.left_action.coefficients    # phi_a |> e_i = sum_k la[a,i,k] e_k
     witnesses = []
-
-    def r_act(xi_vec, phi_vec):
-        # phi <| xi with ActionTensor convention actor first
-        return apply_action(ra, xi_vec, phi_vec)
-
-    def l_act(phi_vec, xi_vec):
-        return apply_action(la, phi_vec, xi_vec)
-
-    if not check_right_action_axiom(ra, g):
+    if not check_right_action_axiom(P.right_action, P.g):
         witnesses.append(("right_action_axiom",))
-    if not check_action_axiom(la, m):
+    if not check_action_axiom(P.left_action, P.m):
         witnesses.append(("left_action_axiom",))
-
-    for a, b in iproduct(range(m.dim), repeat=2):
-        phi, psi = basis_vec(m.dim, a), basis_vec(m.dim, b)
-        for i in range(g.dim):
-            xi = basis_vec(g.dim, i)
-            lhs = r_act(xi, bracket_vectors(m, phi, psi))
-            rhs = bracket_vectors(m, r_act(xi, phi), psi)
-            rhs = add_vec(rhs, bracket_vectors(m, phi, r_act(xi, psi)))
-            rhs = add_vec(rhs, r_act(l_act(psi, xi), phi))
-            rhs = sub_vec(rhs, r_act(l_act(phi, xi), psi))
-            if not vec_is_zero(sub_vec(lhs, rhs)):
-                witnesses.append(("m-identity", a, b, i))
-
-    for a in range(m.dim):
-        phi = basis_vec(m.dim, a)
-        for i, j in iproduct(range(g.dim), repeat=2):
-            xi, eta = basis_vec(g.dim, i), basis_vec(g.dim, j)
-            lhs = l_act(phi, bracket_vectors(g, xi, eta))
-            rhs = bracket_vectors(g, l_act(phi, xi), eta)
-            rhs = add_vec(rhs, bracket_vectors(g, xi, l_act(phi, eta)))
-            rhs = add_vec(rhs, l_act(r_act(xi, phi), eta))
-            rhs = sub_vec(rhs, l_act(r_act(eta, phi), xi))
-            if not vec_is_zero(sub_vec(lhs, rhs)):
-                witnesses.append(("g-identity", a, i, j))
-
+    m_identity = contract_sum([(1, "abk,iko->abio", mc, ra),
+                               (-1, "iak,kbo->abio", ra, mc),
+                               (-1, "ibk,ako->abio", ra, mc),
+                               (-1, "bik,kao->abio", la, ra),
+                               (1, "aik,kbo->abio", la, ra)])
+    witnesses += [("m-identity",) + w for w in _leading(m_identity, 3)]
+    g_identity = contract_sum([(1, "ijk,ako->aijo", gc, la),
+                               (-1, "aik,kjo->aijo", la, gc),
+                               (-1, "ajk,iko->aijo", la, gc),
+                               (-1, "iak,kjo->aijo", ra, la),
+                               (1, "jak,kio->aijo", ra, la)])
+    witnesses += [("g-identity",) + w for w in _leading(g_identity, 3)]
     if with_witnesses:
         return {"matched": not witnesses, "witnesses": witnesses}
     return not witnesses
@@ -431,27 +293,20 @@ def double_cross_sum(P: MatchedPair) -> LieAlgebra:
     g, m = P.g, P.m
     n = g.dim + m.dim
     names = tuple(g.basis_names) + tuple(m.basis_names)
-
-    def pair_bracket(i, j):
-        xi = basis_vec(g.dim, i) if i < g.dim else zero_vec(g.dim)
-        phi = basis_vec(m.dim, i - g.dim) if i >= g.dim else zero_vec(m.dim)
-        eta = basis_vec(g.dim, j) if j < g.dim else zero_vec(g.dim)
-        psi = basis_vec(m.dim, j - g.dim) if j >= g.dim else zero_vec(m.dim)
-        g_part = bracket_vectors(g, xi, eta)
-        g_part = add_vec(g_part, apply_action(P.left_action, phi, eta))
-        g_part = sub_vec(g_part, apply_action(P.left_action, psi, xi))
-        m_part = bracket_vectors(m, phi, psi)
-        m_part = add_vec(m_part, apply_action(P.right_action, eta, phi))
-        m_part = sub_vec(m_part, apply_action(P.right_action, xi, psi))
-        return g_part + m_part
-
+    mi = lambda a: g.dim + a      # m index in the sum
     entries = {}
-    for i in range(n):
-        for j in range(n):
-            vec = pair_bracket(i, j)
-            for k, v in enumerate(vec):
-                if not v.is_zero():
-                    entries[(i, j, k)] = v
+    for (i, j, k), v in g.bracket.entries.items():
+        entries[(i, j, k)] = v
+    for (a, b, c), v in m.bracket.entries.items():
+        entries[(mi(a), mi(b), mi(c))] = v
+    for (a, j, k), v in P.left_action.coefficients.entries.items():
+        # phi |> eta - psi |> xi in the g-part
+        entries[(mi(a), j, k)] = v
+        entries[(j, mi(a), k)] = -v
+    for (j, a, b), v in P.right_action.coefficients.entries.items():
+        # phi <| eta - psi <| xi in the m-part
+        entries[(mi(a), j, mi(b))] = v
+        entries[(j, mi(a), mi(b))] = -v
     out = LieAlgebra(n, names, Tensor((n, n, n), entries))
     rep = check_lie_algebra(out.bracket)
     if not (rep["antisymmetry"] and rep["jacobi"]):
@@ -562,40 +417,16 @@ def check_crossed_module(B: LieBialgebra, act: ActionTensor,
         raise ValueError("actor dims must equal bialgebra dim")
     if act.target_dim != act_dual.target_dim:
         raise ValueError("target dims differ")
-    V = act.target_dim
     dual = dualize(B)
-    witnesses = []
-    for p in range(n):          # phi = f^p
-        for i in range(n):      # x = e_i
-            for v in range(V):
-                lhs = zero_vec(V)
-                # phi(1) |>' v <phi(2), x>: delta_{g*} f^p = sum c[a,b,p] f^a@f^b
-                for (a, b, pp), cv in B.algebra.bracket.entries.items():
-                    if pp != p or b != i:
-                        continue
-                    for out in range(V):
-                        lhs[out] = lhs[out] + cv * act_dual.coefficients.get(a, v, out)
-                # x(1) |> v <phi, x(2)>: delta e_i = sum d[i,a,b] e_a@e_b
-                for (src, a, b), dv in B.coalgebra.cobracket.entries.items():
-                    if src != i or b != p:
-                        continue
-                    for out in range(V):
-                        lhs[out] = lhs[out] + dv * act.coefficients.get(a, v, out)
-                rhs = zero_vec(V)
-                for mid in range(V):
-                    c1 = act_dual.coefficients.get(p, v, mid)
-                    if not c1.is_zero():
-                        for out in range(V):
-                            rhs[out] = rhs[out] + c1 * act.coefficients.get(i, mid, out)
-                    c2 = act.coefficients.get(i, v, mid)
-                    if not c2.is_zero():
-                        for out in range(V):
-                            rhs[out] = rhs[out] - c2 * act_dual.coefficients.get(p, mid, out)
-                # rhs so far = x|>(phi|>'v) - phi|>'(x|>v)?  note order above
-                # c1 branch gives e_i |> (f^p |>' v) and c2 branch the swap.
-                if not vec_is_zero(sub_vec(lhs, rhs)):
-                    witnesses.append((p, i, v))
-
+    c, d = B.algebra.bracket, B.coalgebra.cobracket
+    a, a_dual = act.coefficients, act_dual.coefficients
+    # phi(1) |>' v <phi(2), x> + x(1) |> v <phi, x(2)>
+    #   - x |> (phi |>' v) + phi |>' (x |> v), keyed (phi, x, v, out)
+    defect = contract_sum([(1, "aip,avo->pivo", c, a_dual),
+                           (1, "iap,avo->pivo", d, a),
+                           (-1, "pvm,imo->pivo", a_dual, a),
+                           (1, "ivm,pmo->pivo", a, a_dual)])
+    witnesses = _leading(defect, 3)
     almost = not witnesses
     full = almost and check_action_axiom(act_dual, dual.algebra)
     return {"almost": almost, "full": full, "witnesses": witnesses}

@@ -474,3 +474,87 @@ def scalar_curvature_classical(M: MetricCandidate) -> RatFunc:
         for j in range(n):
             R = R + ginv[i][j] * ricci(i, j)
     return R
+
+
+def _closed_form_curvature(M: MetricCandidate):
+    """The classified closed-form scalar curvature, when the candidate
+    is in standard form (c2 folded away for the non-first families)."""
+    if M.calculus == "b1":
+        alpha = Fraction(M.param)
+        # read c1, c2, c3 back off the coefficient matrix
+        c1 = M.coefficients[0][0].terms.get((Fraction(-2), 0))
+        c2 = M.coefficients[0][1].terms.get((alpha - 1, 0))
+        c3 = M.coefficients[1][1].terms.get((2 * alpha, 0))
+        c1 = c1.coeff(0) if c1 else Scalar(0)
+        c2 = c2.coeff(0) if c2 else Scalar(0)
+        c3 = c3.coeff(0) if c3 else Scalar(0)
+        det = c1 * c3 - c2 * c2
+        if det.is_zero():
+            return None
+        val = Scalar(-2) * Scalar(alpha) * Scalar(alpha) * c3 / det
+        return RatFunc(GenPoly({(Fraction(0), 0): val}))
+    if M.calculus == "b2":
+        beta = Fraction(M.param)
+        c1 = M.coefficients[1][1].terms.get((2 * beta, 0))
+        if c1 is None:
+            return None
+        # G = c3 x^(2 beta); then R = -4 beta^2 / (c1 x^(2 beta)) with
+        # c1 the constant part of E x^(2-2beta) minus c3 beta^2 t^2 term
+        e0 = M.coefficients[0][0].terms.get((2 * beta - 2, 0))
+        c3 = M.coefficients[1][1].terms.get((2 * beta, 0)).coeff(0)
+        if e0 is None:
+            return None
+        c1 = e0.coeff(0)
+        num = GenPoly({(-2 * beta, 0):
+                       Scalar(-4) * Scalar(beta) * Scalar(beta)})
+        return RatFunc(num, GenPoly({(Fraction(0), 0): c1})) \
+            if not c1.is_zero() and not c3.is_zero() else None
+    if M.calculus == "b4":
+        c3 = M.coefficients[0][0].terms.get((Fraction(-2), 0))
+        t2 = M.coefficients[1][1].terms.get((Fraction(-4), 2))
+        base = M.coefficients[1][1].terms.get((Fraction(-4), 0))
+        if c3 is None or t2 is None or base is None:
+            return None
+        c3 = c3.coeff(0)
+        # the lambda-free part of x^4 G is c1 at t-degree 0
+        c1 = base.coeff(0)
+        if c1.is_zero() or c3.is_zero():
+            return None
+        num = GenPoly({(Fraction(2), 0): Scalar(4) / c1,
+                       (Fraction(0), 2): Scalar(-8) / c1,
+                       (Fraction(0), 0): Scalar(-8) / c3})
+        return RatFunc(num)
+    if M.calculus == "b5":
+        c3 = M.coefficients[1][1].terms.get((Fraction(2), 0))
+        base = M.coefficients[0][0].terms.get((Fraction(0), 0))
+        if c3 is None or base is None:
+            return None
+        c1 = base.coeff(0)
+        if c1.is_zero():
+            return None
+        return RatFunc(GenPoly({(Fraction(0), 0): Scalar(-4)}),
+                       GenPoly({(Fraction(2), 0): c1}))
+    return None
+
+
+def _tidy_ratfunc(R: RatFunc) -> RatFunc:
+    """Cancel common monomial factors and rescale so a single-term
+    denominator is monic (display only; equality is unaffected)."""
+    keys = list(R.num.terms) + list(R.den.terms)
+    if not R.num.terms:
+        return RatFunc(GenPoly({}), GenPoly.const(1))
+    mx = min(a for a, _ in keys)
+    mt = min(b for _, b in keys)
+    shift = GenPoly.monomial(-mx, 0)
+    num = R.num * shift
+    den = R.den * shift
+    if mt:
+        num = GenPoly({(a, b - mt): q for (a, b), q in num.terms.items()})
+        den = GenPoly({(a, b - mt): q for (a, b), q in den.terms.items()})
+    if len(den.terms) == 1:
+        ((_, _), q), = den.terms.items()
+        if len(q.coeffs) == 1:
+            inv = ONE / q.coeffs[0]
+            num = num.scale(inv)
+            den = den.scale(inv)
+    return RatFunc(num, den)

@@ -1,26 +1,30 @@
 """Pre-Lie (left-symmetric) products as structure tensors.
 
 A product on the dual basis {f^i} is stored as a tensor xi with
-f^i o f^j = sum_k xi[i,j,k] f^k.  All predicates evaluate on every
-basis tuple; dims in the catalog are at most 6.
+f^i o f^j = sum_k xi[i,j,k] f^k.  Each predicate is a signed sum of
+tensor_contract terms whose nonzero entries lead with the witnesses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iproduct
 
-from .exact_core import Scalar, Tensor, ZERO
+from .exact_core import (
+    ONE,
+    Scalar,
+    Tensor,
+    ZERO,
+    contract_sum,
+    linear_kernel,
+    tensor_contract,
+)
 from .liebialg import (
-    ActionTensor,
     LieAlgebra,
     LieBialgebra,
     RMatrix,
-    basis_vec,
+    _leading,
     check_lie_algebra,
     dualize,
-    vec_is_zero,
-    zero_vec,
 )
 
 __all__ = [
@@ -33,7 +37,6 @@ __all__ = [
     "check_rmatrix_symmetric_part",
     "xi_from_rmatrix",
     "check_cybe",
-    "preconnection_matrix",
     "change_basis",
 ]
 
@@ -50,7 +53,7 @@ class PreLieProduct:
 
     def product(self, u, v):
         """u o v on coefficient vectors."""
-        out = zero_vec(self.dim)
+        out = [ZERO] * self.dim
         for (i, j, k), c in self.xi.entries.items():
             f = u[i] * v[j]
             if not f.is_zero():
@@ -73,48 +76,15 @@ def prelie_from_table(names, table):
 def check_left_symmetry(X: PreLieProduct, with_witnesses=False):
     """(x o y) o z - (y o x) o z == x o (y o z) - y o (x o z).
 
-    Contracts over the nonzero entries only: the associator pieces
-    (x o y) o z and x o (y o z) are assembled sparsely, then the
-    left-symmetry defect is read off entrywise.
+    The associator (x o y) o z - x o (y o z) is contracted once and then
+    antisymmetrized in (x, y).
     """
-    entries = X.xi.entries.items()
-    by_first = {}
-    by_second = {}
-    for (i, j, k), c in entries:
-        by_first.setdefault(i, []).append((j, k, c))
-        by_second.setdefault(j, []).append((i, k, c))
-
-    left = {}   # (i,j,k,out) -> (x o y) o z coefficient
-    right = {}  # (i,j,k,out) -> x o (y o z) coefficient
-    for (i, j, m), c1 in entries:
-        for k, out, c2 in by_first.get(m, ()):
-            key = (i, j, k, out)
-            cur = left.get(key)
-            prod = c1 * c2
-            left[key] = prod if cur is None else cur + prod
-    for (j, k, m), c1 in entries:
-        for i, out, c2 in by_second.get(m, ()):
-            key = (i, j, k, out)
-            cur = right.get(key)
-            prod = c1 * c2
-            right[key] = prod if cur is None else cur + prod
-
-    defects = set()
-    for (i, j, k, out), v in left.items():
-        d = v - left.get((j, i, k, out), ZERO) \
-            - right.get((i, j, k, out), ZERO) \
-            + right.get((j, i, k, out), ZERO)
-        if not d.is_zero():
-            defects.add((i, j, k))
-            defects.add((j, i, k))
-    for (i, j, k, out), v in right.items():
-        if (i, j, k, out) in left or (j, i, k, out) in left:
-            continue
-        d = right.get((j, i, k, out), ZERO) - v
-        if not d.is_zero():
-            defects.add((i, j, k))
-            defects.add((j, i, k))
-    witnesses = sorted(defects)
+    xi = X.xi
+    assoc = contract_sum([(1, "ijm,mko->ijko", xi, xi),
+                          (-1, "jkm,imo->ijko", xi, xi)])
+    defect = contract_sum([(1, "ijko->ijko", assoc),
+                           (-1, "jiko->ijko", assoc)])
+    witnesses = _leading(defect, 3)
     if with_witnesses:
         return {"left_symmetric": not witnesses, "witnesses": witnesses}
     return not witnesses
@@ -124,16 +94,13 @@ def induced_bracket(X: PreLieProduct) -> LieAlgebra:
     """Antisymmetrization [x,y] = x o y - y o x (requires left-symmetry)."""
     if not check_left_symmetry(X):
         raise ValueError("product is not left-symmetric")
-    n = X.dim
-    entries = {}
-    for i, j, k in iproduct(range(n), repeat=3):
-        v = X.xi.get(i, j, k) - X.xi.get(j, i, k)
-        if not v.is_zero():
-            entries[(i, j, k)] = v
-    L = LieAlgebra(n, X.basis_names, Tensor((n, n, n), entries))
+    bracket = contract_sum([(1, "ijk->ijk", X.xi), (-1, "jik->ijk", X.xi)])
+    L = LieAlgebra(X.dim, X.basis_names, bracket)
     rep = check_lie_algebra(L.bracket)
-    assert rep["antisymmetry"] and rep["jacobi"], \
-        "induced bracket of a left-symmetric product must satisfy Jacobi"
+    if not (rep["antisymmetry"] and rep["jacobi"]):
+        raise AssertionError("induced bracket of a left-symmetric product "
+                             "must satisfy Jacobi "
+                             f"(witnesses {rep['witnesses']})")
     return L
 
 
@@ -142,19 +109,9 @@ def check_compatibility(X: PreLieProduct, L: LieAlgebra,
     """Xi(phi,psi) - Xi(psi,phi) == [phi,psi] entry-by-entry."""
     if X.dim != L.dim:
         raise ValueError("dimension mismatch")
-    xi = X.xi.entries
-    br = L.bracket.entries
-    keys = set(xi)
-    keys.update((j, i, k) for (i, j, k) in xi)
-    keys.update(br)
-    witnesses = []
-    for key in sorted(keys):
-        i, j, k = key
-        a = xi.get(key, ZERO)
-        b = xi.get((j, i, k), ZERO)
-        c = br.get(key, ZERO)
-        if a.re - b.re != c.re or a.im - b.im != c.im:
-            witnesses.append(key)
+    defect = contract_sum([(1, "ijk->ijk", X.xi), (-1, "jik->ijk", X.xi),
+                           (-1, "ijk->ijk", L.bracket)])
+    witnesses = sorted(defect.entries)
     if with_witnesses:
         return {"compatible": not witnesses, "witnesses": witnesses}
     return not witnesses
@@ -165,38 +122,39 @@ def check_flat_right_action(X: PreLieProduct, L: LieAlgebra,
     """Flatness: Xi([phi,psi], zeta) = Xi(phi,Xi(psi,zeta)) - Xi(psi,Xi(phi,zeta))."""
     if X.dim != L.dim:
         raise ValueError("dimension mismatch")
-    n = X.dim
-    witnesses = []
-    for i, j, k in iproduct(range(n), repeat=3):
-        lhs = zero_vec(n)
-        for m in range(n):
-            cm = L.bracket.get(i, j, m)
-            if not cm.is_zero():
-                for out in range(n):
-                    lhs[out] = lhs[out] + cm * X.xi.get(m, k, out)
-        rhs = zero_vec(n)
-        for m in range(n):
-            cjk = X.xi.get(j, k, m)
-            cik = X.xi.get(i, k, m)
-            for out in range(n):
-                if not cjk.is_zero():
-                    rhs[out] = rhs[out] + cjk * X.xi.get(i, m, out)
-                if not cik.is_zero():
-                    rhs[out] = rhs[out] - cik * X.xi.get(j, m, out)
-        if lhs != rhs:
-            witnesses.append((i, j, k))
+    xi = X.xi
+    defect = contract_sum([(1, "ijm,mko->ijko", L.bracket, xi),
+                           (-1, "jkm,imo->ijko", xi, xi),
+                           (1, "ikm,jmo->ijko", xi, xi)])
+    witnesses = _leading(defect, 3)
     if with_witnesses:
         return {"flat": not witnesses, "witnesses": witnesses}
     return not witnesses
 
 
-def _delta_gstar(B: LieBialgebra):
-    """delta_{g*} f^k = sum_{ij} c^k_{ij} f^i (x) f^j as a dict k -> Tensor."""
-    n = B.dim
-    out = [dict() for _ in range(n)]
-    for (i, j, k), v in B.algebra.bracket.entries.items():
-        out[k][(i, j)] = out[k].get((i, j), ZERO) + v
-    return [Tensor((n, n), d) for d in out]
+def _delta_gstar(B: LieBialgebra) -> Tensor:
+    """delta_{g*} f^k = sum_{ij} c^k_{ij} f^i (x) f^j, as d*[k,i,j]."""
+    return tensor_contract("ijk->kij", B.algebra.bracket)
+
+
+def _xi_ass_terms(xi: Tensor, delta: Tensor):
+    """(Xi-ass) as contraction terms keyed (phi, psi, leg1, leg2):
+
+      delta Xi(phi,psi) - Xi(phi,psi(1)) (x) psi(2)
+        - psi(1) (x) Xi(phi,psi(2))
+    """
+    return [(1, "pqk,krs->pqrs", xi, delta),
+            (-1, "qas,par->pqrs", delta, xi),
+            (-1, "qrb,pbs->pqrs", delta, xi)]
+
+
+def _xi_con_terms(xi: Tensor, delta: Tensor):
+    """(Xi-con) as contraction terms keyed (phi, psi, leg1, leg2):
+
+      Xi(phi(1),psi) (x) phi(2) - psi(1) (x) Xi(psi(2),phi)
+    """
+    return [(1, "pas,aqr->pqrs", delta, xi),
+            (-1, "qrb,bps->pqrs", delta, xi)]
 
 
 def check_bicovariance(X: PreLieProduct, B: LieBialgebra,
@@ -221,59 +179,18 @@ def check_bicovariance(X: PreLieProduct, B: LieBialgebra,
     """
     if X.dim != B.dim:
         raise ValueError("dimension mismatch")
-    n = X.dim
-    delta = _delta_gstar(B)
-    witnesses = []
-
-    def delta_of_vec(vec):
-        acc = {}
-        for k, c in enumerate(vec):
-            if c.is_zero():
-                continue
-            for idx, v in delta[k].entries.items():
-                acc[idx] = acc.get(idx, ZERO) + c * v
-        return acc
-
-    for p, q in iproduct(range(n), repeat=2):
-        phi = basis_vec(n, p)
-        psi = basis_vec(n, q)
-        acc = delta_of_vec(X.product(phi, psi))
-
-        def sub(idx, v):
-            if not v.is_zero():
-                acc[idx] = acc.get(idx, ZERO) - v
-
-        if variant == "Xi-bi":
-            # - Xi(phi, psi(1)) (x) psi(2) - psi(1) (x) Xi(phi, psi(2))
-            for (a, b), dv in delta[q].entries.items():
-                for out in range(n):
-                    sub((out, b), dv * X.xi.get(p, a, out))
-                    sub((a, out), dv * X.xi.get(p, b, out))
-            # - [ Xi(phi(1),psi) (x) phi(2) - psi(1) (x) Xi(psi(2),phi) ]
-            for (a, b), dv in delta[p].entries.items():
-                for out in range(n):
-                    sub((out, b), dv * X.xi.get(a, q, out))
-            for (a, b), dv in delta[q].entries.items():
-                for out in range(n):
-                    sub((a, out), -dv * X.xi.get(b, p, out))
-        elif variant == "bi":
-            for (a, b), dv in delta[p].entries.items():
-                for out in range(n):
-                    sub((out, b), dv * X.xi.get(a, q, out))
-            for (a, b), dv in delta[q].entries.items():
-                for out in range(n):
-                    sub((out, b), dv * X.xi.get(p, a, out))
-            # - psi(1) (x) [phi, psi(2)]_{g*}
-            dualB = dualize(B)
-            for (a, b), dv in delta[q].entries.items():
-                for out in range(n):
-                    sub((a, out), dv * dualB.algebra.bracket.get(p, b, out))
-        else:
-            raise ValueError("variant must be 'Xi-bi' or 'bi'")
-
-        if any(not v.is_zero() for v in acc.values()):
-            witnesses.append((p, q))
-
+    xi, delta = X.xi, _delta_gstar(B)
+    if variant == "Xi-bi":
+        terms = _xi_ass_terms(xi, delta) + [
+            (-s, spec, *ops) for s, spec, *ops in _xi_con_terms(xi, delta)]
+    elif variant == "bi":
+        terms = [(1, "pqk,krs->pqrs", xi, delta),
+                 (-1, "pas,aqr->pqrs", delta, xi),
+                 (-1, "qas,par->pqrs", delta, xi),
+                 (-1, "qrb,pbs->pqrs", delta, dualize(B).algebra.bracket)]
+    else:
+        raise ValueError("variant must be 'Xi-bi' or 'bi'")
+    witnesses = _leading(contract_sum(terms), 2)
     if with_witnesses:
         return {"bicovariant": not witnesses, "witnesses": witnesses}
     return not witnesses
@@ -285,22 +202,9 @@ def check_rmatrix_symmetric_part(R: RMatrix, with_witnesses=False):
     This is the statement that the symmetric part r_+ acts trivially,
     the only hypothesis used by the quasitriangular pre-Lie formula.
     """
-    B = R.carrier
-    n = B.dim
-    c = B.algebra.bracket
-    witnesses = []
-    for x in range(n):
-        acc = {}
-        for (p, q), rv in R.r.entries.items():
-            for k in range(n):
-                v = rv * c.get(q, x, k)
-                if not v.is_zero():
-                    acc[(p, k)] = acc.get((p, k), ZERO) + v
-                v = rv * c.get(p, x, k)
-                if not v.is_zero():
-                    acc[(q, k)] = acc.get((q, k), ZERO) + v
-        if any(not v.is_zero() for v in acc.values()):
-            witnesses.append(x)
+    c, r = R.carrier.algebra.bracket, R.r
+    defect = contract_sum([(1, "aq,qxb->xab", r, c), (1, "pa,pxb->xab", r, c)])
+    witnesses = sorted({x for x, _, _ in defect.entries})
     if with_witnesses:
         return {"symmetric_part_trivial": not witnesses, "witnesses": witnesses}
     return not witnesses
@@ -319,51 +223,21 @@ def xi_from_rmatrix(R: RMatrix) -> PreLieProduct:
             "symmetric part of r does not act trivially; witness basis "
             f"indices {rep['witnesses']}"
         )
-    B = R.carrier
-    n = B.dim
-    c = B.algebra.bracket
-    entries = {}
-    for (p, i), rv in R.r.entries.items():
-        for (pp, k, j), cv in c.entries.items():
-            if pp != p:
-                continue
-            key = (i, j, k)
-            entries[key] = entries.get(key, ZERO) + rv * cv
-    X = PreLieProduct(n, tuple(f"f^{m}" for m in range(n)), Tensor((n, n, n), entries))
-    return X
+    n = R.carrier.dim
+    xi = tensor_contract("pi,pkj->ijk", R.r, R.carrier.algebra.bracket)
+    return PreLieProduct(n, tuple(f"f^{m}" for m in range(n)), xi)
 
 
 def check_cybe(R: RMatrix, with_witnesses=False):
     """Classical Yang-Baxter equation [[r,r]] = [r12,r13]+[r12,r23]+[r13,r23] = 0."""
-    B = R.carrier
-    n = B.dim
-    c = B.algebra.bracket
-    acc = {}
-
-    def bump(idx, v):
-        if not v.is_zero():
-            acc[idx] = acc.get(idx, ZERO) + v
-
-    for (a, b), v1 in R.r.entries.items():
-        for (p, q), v2 in R.r.entries.items():
-            v = v1 * v2
-            for k in range(n):
-                bump((k, b, q), v * c.get(a, p, k))   # [r12, r13]
-                bump((a, k, q), v * c.get(b, p, k))   # [r12, r23]
-                bump((a, p, k), v * c.get(b, q, k))   # [r13, r23]
-    nonzero = [idx for idx, v in sorted(acc.items()) if not v.is_zero()]
+    c, r = R.carrier.algebra.bracket, R.r
+    defect = contract_sum([(1, "ay,apx,pz->xyz", r, c, r),    # [r12, r13]
+                           (1, "xb,bpy,pz->xyz", r, c, r),    # [r12, r23]
+                           (1, "xb,bqz,yq->xyz", r, c, r)])   # [r13, r23]
+    nonzero = sorted(defect.entries)
     if with_witnesses:
         return {"cybe": not nonzero, "witnesses": nonzero}
     return not nonzero
-
-
-def preconnection_matrix(X: PreLieProduct) -> Tensor:
-    """The (i,j) -> sum_k Xi^{ij}_k omega^k table used in reports.
-
-    This is just xi itself, exposed under the preconnection reading
-    gamma(a, omega^j) = sum_{i,k} Xi^{ij}_k (partial_i a) omega^k.
-    """
-    return X.xi
 
 
 def change_basis(X: PreLieProduct, P, new_names=None) -> PreLieProduct:
@@ -374,39 +248,17 @@ def change_basis(X: PreLieProduct, P, new_names=None) -> PreLieProduct:
     """
     n = X.dim
     P = [[v if isinstance(v, Scalar) else Scalar(v) for v in row] for row in P]
-    # invert P by Gaussian elimination on [P | id]
-    aug = [[P[r][c] for c in range(n)] + [Scalar(1 if r == c else 0) for c in range(n)]
-           for r in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if not aug[r][col].is_zero()), None)
-        if piv is None:
-            raise ValueError("basis-change matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = Scalar(1) / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(n):
-            if r != col and not aug[r][col].is_zero():
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    Pinv = [row[n:] for row in aug]  # Pinv[r][c]: old e_r = sum_c Pinv... (see below)
-
-    # u_a o u_b = sum_{i,j} P[i][a] P[j][b] Xi^{ij}_k e_k, and
-    # e_k = sum_c Pinv[c][k]... with our conventions old_k = sum_a Pinv[k-row? ]
-    # Concretely: old_k = sum_a (P^{-1})[a][k] u_a where (P^{-1})[a][k] is the
-    # (a,k) entry of the inverse matrix.
-    entries = {}
-    for a in range(n):
-        for b in range(n):
-            vec = zero_vec(n)
-            for (i, j, k), cv in X.xi.entries.items():
-                f = P[i][a] * P[j][b] * cv
-                if not f.is_zero():
-                    vec[k] = vec[k] + f
-            for c in range(n):
-                v = ZERO
-                for k in range(n):
-                    v = v + Pinv[c][k] * vec[k]
-                if not v.is_zero():
-                    entries[(a, b, c)] = v
+    if linear_kernel(P):
+        raise ValueError("basis-change matrix is singular")
+    # the kernel of [P | 1] has one vector (-P^{-1} e_c, e_c) per column c
+    kernel = linear_kernel([row + [ONE if r == c else ZERO for c in range(n)]
+                            for r, row in enumerate(P)])
+    to_new = Tensor((n, n), {(c, k): -kernel[k][c]
+                             for c in range(n) for k in range(n)})
+    to_old = Tensor((n, n), {(i, a): v for i, row in enumerate(P)
+                             for a, v in enumerate(row)})
+    # u_a o u_b = sum_{i,j} P[i][a] P[j][b] Xi^{ij}_k e_k and
+    # e_k = sum_c (P^{-1})[c][k] u_c
+    xi = tensor_contract("ijk,ia,jb,ck->abc", X.xi, to_old, to_old, to_new)
     names = tuple(new_names) if new_names else tuple(f"u{a}" for a in range(n))
-    return PreLieProduct(n, names, Tensor((n, n, n), entries))
+    return PreLieProduct(n, names, xi)

@@ -20,6 +20,7 @@ from fractions import Fraction
 
 from .exact_core import (
     I,
+    LAMBDA,
     L_ONE,
     L_ZERO,
     LambdaScalar,
@@ -45,7 +46,6 @@ __all__ = [
     "verify_su2_bicrossproduct_omega",
 ]
 
-LAMBDA = LambdaScalar((ZERO, ONE))
 HALF = Scalar(Fraction(1, 2))
 
 

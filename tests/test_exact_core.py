@@ -1,8 +1,9 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from prelie_calculus.exact_core import (
     GenPoly,
@@ -17,6 +18,7 @@ from prelie_calculus.exact_core import (
     ZERO,
     genpoly_derivative,
     linear_kernel,
+    contract_sum,
     ratfunc_equal,
     tensor_contract,
 )
@@ -72,10 +74,40 @@ class TestLambdaScalar:
         assert p.evaluate(Scalar(3)) == Scalar(10)
 
 
+def dense_einsum(spec, *operands):
+    """Brute-force reference: every assignment of every label."""
+    lhs, out = spec.split("->")
+    ins = lhs.split(",")
+    dims = {}
+    for labels, t in zip(ins, operands):
+        dims.update(zip(labels, t.shape))
+    names = sorted(dims)
+    entries = {}
+    for values in itertools.product(*(range(dims[c]) for c in names)):
+        env = dict(zip(names, values))
+        term = ONE
+        for labels, t in zip(ins, operands):
+            term = term * t.get(*(env[c] for c in labels))
+        key = tuple(env[c] for c in out)
+        entries[key] = entries.get(key, ZERO) + term
+    return Tensor(tuple(dims[c] for c in out), entries)
+
+
+small_scalars = st.builds(Scalar, st.integers(-3, 3), st.integers(-1, 1))
+dims = st.integers(1, 3)
+
+
+@st.composite
+def sparse_tensors(draw, shape):
+    cells = list(itertools.product(*(range(d) for d in shape)))
+    picked = draw(st.lists(st.sampled_from(cells), unique=True))
+    return Tensor(shape, {idx: draw(small_scalars) for idx in picked})
+
+
 class TestTensorContract:
     def test_kronecker_identity(self):
         v = Tensor((3,), {(0,): Scalar(2), (2,): I})
-        assert tensor_contract(Tensor.kronecker(3), v, [(1, 0)]) == v
+        assert tensor_contract("ij,j->i", Tensor.kronecker(3), v) == v
 
     def test_su2_epsilon(self):
         eps = Tensor((3, 3, 3), {
@@ -84,7 +116,8 @@ class TestTensorContract:
         })
         e1 = Tensor((3,), {(0,): ONE})
         e2 = Tensor((3,), {(1,): ONE})
-        out = tensor_contract(tensor_contract(eps, e1, [(0, 0)]), e2, [(0, 0)])
+        out = tensor_contract("jk,j->k", tensor_contract("ijk,i->jk", eps, e1),
+                              e2)
         assert out == Tensor((3,), {(2,): ONE})
 
     def test_against_dense_oracle(self):
@@ -92,7 +125,6 @@ class TestTensorContract:
 
         def rand_tensor(shape, density=0.4):
             entries = {}
-            import itertools
             for idx in itertools.product(*(range(d) for d in shape)):
                 if rng.random() < density:
                     entries[idx] = Scalar(Fraction(rng.randint(-5, 5),
@@ -102,9 +134,8 @@ class TestTensorContract:
         for _ in range(10):
             a = rand_tensor((2, 3, 2))
             b = rand_tensor((3, 2, 4))
-            got = tensor_contract(a, b, [(1, 0), (2, 1)])
+            got = tensor_contract("ipq,pqj->ij", a, b)
             # dense loop oracle
-            import itertools
             for i, j in itertools.product(range(2), range(4)):
                 s = ZERO
                 for p, q in itertools.product(range(3), range(2)):
@@ -113,15 +144,53 @@ class TestTensorContract:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            tensor_contract(Tensor((2,)), Tensor((3,)), [(0, 0)])
+            tensor_contract("i,i->", Tensor((2,)), Tensor((3,)))
 
     def test_bilinear(self):
         a = Tensor((2, 2), {(0, 1): Scalar(3)})
         b = Tensor((2, 2), {(1, 0): I})
         v = Tensor((2,), {(0,): ONE, (1,): Scalar(2)})
-        lhs = tensor_contract(a + b, v, [(1, 0)])
-        rhs = tensor_contract(a, v, [(1, 0)]) + tensor_contract(b, v, [(1, 0)])
+        spec = "ij,j->i"
+        lhs = tensor_contract(spec, a + b, v)
+        rhs = tensor_contract(spec, a, v) + tensor_contract(spec, b, v)
         assert lhs == rhs
+
+    @pytest.mark.parametrize("spec", [
+        "ij->ij->", "ij,j->ik", "ii->i", "ijk->ijk", "ij,jk->ijj",
+    ])
+    def test_malformed_spec(self, spec):
+        with pytest.raises(ValueError):
+            tensor_contract(spec, *[Tensor((2, 2))] * spec.count(","),
+                            Tensor((2, 2)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), dims, dims, dims)
+    def test_reorder_matches_dense(self, data, a, b, c):
+        t = data.draw(sparse_tensors((a, b, c)))
+        assert tensor_contract("ijk->kij", t) == dense_einsum("ijk->kij", t)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), dims, dims, dims)
+    def test_summed_out_label_matches_dense(self, data, a, b, c):
+        t = data.draw(sparse_tensors((a, b, c)))
+        u = data.draw(sparse_tensors((c, b)))
+        assert tensor_contract("ijk->ik", t) == dense_einsum("ijk->ik", t)
+        # k is contracted, j is summed away after the join
+        assert tensor_contract("ijk,kj->i", t, u) == \
+            dense_einsum("ijk,kj->i", t, u)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data(), dims)
+    def test_cybe_shaped_terms_match_dense(self, data, n):
+        r = data.draw(sparse_tensors((n, n)))
+        c = data.draw(sparse_tensors((n, n, n)))
+        terms = [(1, "ay,apx,pz->xyz", r, c, r),
+                 (-1, "xb,bpy,pz->xyz", r, c, r),
+                 (1, "xb,bqz,yq->xyz", r, c, r)]
+        dense = [dense_einsum(spec, *ops) for _, spec, *ops in terms]
+        for (_, spec, *ops), want in zip(terms, dense):
+            assert tensor_contract(spec, *ops) == want
+        assert contract_sum(terms) == dense[0] - dense[1] + dense[2]
 
 
 class TestLinearKernel:

@@ -83,6 +83,15 @@ class TestFiveFamilies:
         for Xp in family_instances():
             assert induced_bracket(Xp).bracket == b_lie().bracket
 
+    def test_induced_bracket_raises_when_jacobi_fails(self, monkeypatch):
+        # the Jacobi check must survive python -O, so it cannot be an assert
+        import prelie_calculus.prelie as prelie_mod
+        monkeypatch.setattr(prelie_mod, "check_lie_algebra", lambda c: {
+            "antisymmetry": True, "jacobi": False,
+            "witnesses": {"antisymmetry": [], "jacobi": [(0, 0, 1)]}})
+        with pytest.raises(AssertionError, match="Jacobi"):
+            induced_bracket(b_family("b4"))
+
 
 class TestLeftSymmetryWitnesses:
     def test_associative_noncommutative_is_left_symmetric(self):
