@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact_core import I, ONE, Scalar, Tensor, ZERO
+from .exact_core import I, ONE, Scalar, Tensor
 from .liebialg import (
     ActionTensor,
     LieAlgebra,

@@ -76,21 +76,27 @@ def tensor_triples(t: Tensor):
 
 def _parse_scalar(v):
     """Accept int, [num, den], or [re_n, re_d, im_n, im_d]."""
-    if isinstance(v, int):
-        return Scalar(v)
-    if isinstance(v, list) and len(v) == 2:
-        return Scalar(Fraction(v[0], v[1]))
     if isinstance(v, list) and len(v) == 4:
-        return Scalar(Fraction(v[0], v[1]), Fraction(v[2], v[3]))
-    raise SchemaError(f"bad scalar encoding {v!r}")
+        return Scalar(_parse_fraction(v[:2], "scalar"),
+                      _parse_fraction(v[2:], "scalar"))
+    return Scalar(_parse_fraction(v, "scalar"))
 
 
-def _parse_fraction(v):
-    if isinstance(v, int):
-        return Fraction(v)
-    if isinstance(v, list) and len(v) == 2:
-        return Fraction(v[0], v[1])
-    raise SchemaError(f"bad rational encoding {v!r}")
+def _parse_fraction(v, what="rational"):
+    """Accept int or [num, den] with integer parts (JSON true and false
+    are not numbers here) and a nonzero denominator."""
+    num, den = v if isinstance(v, list) and len(v) == 2 else (v, 1)
+    if type(num) is not int or type(den) is not int:
+        raise SchemaError(f"bad {what} encoding {v!r}")
+    if den == 0:
+        raise SchemaError(f"zero denominator in {v!r}")
+    return Fraction(num, den)
+
+
+def _parse_int(v, what):
+    if type(v) is not int:
+        raise SchemaError(f"{what} must be an integer, got {v!r}")
+    return v
 
 
 def _load_instance_file(path):
@@ -106,6 +112,8 @@ def _load_instance_file(path):
     for field in ("id", "kind", "payload"):
         if field not in data:
             raise SchemaError(f"{path}: missing field {field!r}")
+    if not isinstance(data["id"], str):
+        raise SchemaError(f"{path}: id must be a string")
     kind, payload = data["kind"], data["payload"]
     try:
         if kind == "prelie":
@@ -123,17 +131,23 @@ def _load_instance_file(path):
 
 
 def _parse_prelie(payload):
-    dim = int(payload["dim"])
-    names = tuple(payload.get("names") or (f"e{i}" for i in range(dim)))
+    dim = _parse_int(payload["dim"], "dim")
+    if dim < 1:
+        raise SchemaError(f"dim must be positive, got {dim}")
+    names = payload.get("names", [f"e{i}" for i in range(dim)])
+    if not (isinstance(names, list) and len(names) == dim
+            and all(isinstance(n, str) for n in names)):
+        raise SchemaError(f"names must be a list of {dim} strings, "
+                          f"got {names!r}")
     entries = {}
     for row in payload["xi"]:
         if not isinstance(row, list) or len(row) != 7:
             raise SchemaError(f"bad coefficient triple {row!r}")
-        i, j, k = (int(v) for v in row[:3])
+        i, j, k = (_parse_int(v, "index") for v in row[:3])
         if not all(0 <= v < dim for v in (i, j, k)):
             raise SchemaError(f"index out of range in {row!r}")
         entries[(i, j, k)] = _parse_scalar(row[3:])
-    return PreLieProduct(dim, names, Tensor((dim, dim, dim), entries))
+    return PreLieProduct(dim, tuple(names), Tensor((dim, dim, dim), entries))
 
 
 def _parse_metric(payload):
@@ -159,9 +173,9 @@ def _parse_metric(payload):
 def _parse_group_dga(payload):
     theta = tuple(_parse_scalar(v) for v in payload["theta"])
     data = GroupDGAData(
-        cayley=tuple(tuple(int(v) for v in row)
+        cayley=tuple(tuple(_parse_int(v, "cayley entry") for v in row)
                      for row in payload["cayley"]),
-        action=tuple(tuple(int(v) for v in row)
+        action=tuple(tuple(_parse_int(v, "action entry") for v in row)
                      for row in payload["action"]),
         theta=theta)
     try:
@@ -175,13 +189,17 @@ def _parse_group_dga(payload):
 
 def _resolve(ids, files):
     catalog = {e["id"]: e for e in load_catalog()}
-    out = []
-    for path in files or ():
-        out.append(_load_instance_file(path))
+    out = [_load_instance_file(path) for path in files or ()]
     for iid in ids or ():
         if iid not in catalog:
-            raise KeyError(iid)
+            raise UsageError(f"unknown instance {iid!r}")
         out.append(catalog[iid])
+    # the report is keyed by id, so a repeated id would hide a result
+    seen = set()
+    for entry in out:
+        if entry["id"] in seen:
+            raise UsageError(f"duplicate instance id {entry['id']!r}")
+        seen.add(entry["id"])
     return out
 
 
@@ -467,12 +485,24 @@ class UsageError(Exception):
     pass
 
 
+def _positive_int(text):
+    """argparse type of --max-len: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= 1, got {text!r}")
+    return value
+
+
 def _add_common(p):
     p.add_argument("--instance", action="append", default=[],
                    help="catalog instance id (repeatable)")
     p.add_argument("--instance-file", action="append", default=[],
                    help="JSON instance file (repeatable)")
-    p.add_argument("--max-len", type=int, default=3,
+    p.add_argument("--max-len", type=_positive_int, default=3,
                    help="word-length bound for exhaustive checks")
     p.add_argument("--lambda", dest="lam", default="1",
                    help="numeric deformation parameter (rational)")
@@ -517,9 +547,6 @@ def main(argv=None):
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except KeyError as exc:
-        print(f"error: unknown instance {exc}", file=sys.stderr)
         return USAGE_ERROR
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)

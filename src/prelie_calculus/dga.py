@@ -20,15 +20,15 @@ from fractions import Fraction
 from .exact_core import (
     LAMBDA,
     L_ONE,
-    L_ZERO,
-    LambdaScalar,
-    ONE,
     Scalar,
+    TermMap,
     ZERO,
+    _sorted_forms,
+    accumulate,
     linear_kernel,
 )
 from .liebialg import LieAlgebra, basis_vec
-from .prelie import PreLieProduct, check_left_symmetry, induced_bracket
+from .prelie import PreLieProduct
 
 __all__ = [
     "NCElement",
@@ -44,32 +44,26 @@ __all__ = [
 ]
 
 
-def _as_lambda(v):
-    if isinstance(v, LambdaScalar):
-        return v
-    return LambdaScalar(v)
+def _check_pbw(word):
+    word = tuple(word)
+    if any(word[i] > word[i + 1] for i in range(len(word) - 1)):
+        raise ValueError(f"word {word} is not in PBW order")
+    return word
 
 
-class NCElement:
+class NCElement(TermMap):
     """Element of U_lambda(m): map from PBW words to LambdaScalar."""
 
-    __slots__ = ("dim", "terms")
+    __slots__ = ("dim",)
+    _fields = ("dim",)
 
     def __init__(self, dim, terms=None):
-        clean = {}
-        for word, c in (terms or {}).items():
-            c = _as_lambda(c)
-            if c.is_zero():
-                continue
-            word = tuple(word)
-            if any(word[i] > word[i + 1] for i in range(len(word) - 1)):
-                raise ValueError(f"word {word} is not in PBW order")
-            clean[word] = c
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "terms", clean)
+        TermMap.__init__(self, terms)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("NCElement is immutable")
+    @staticmethod
+    def _checked(pairs):
+        return ((_check_pbw(word), c) for word, c in pairs)
 
     @staticmethod
     def unit(dim):
@@ -79,50 +73,22 @@ class NCElement:
     def generator(dim, i):
         return NCElement(dim, {(i,): L_ONE})
 
-    def __add__(self, other):
-        if not isinstance(other, NCElement):
-            return NotImplemented
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, L_ZERO) + c
-        return NCElement(self.dim, out)
 
-    def __sub__(self, other):
-        return self + other.scale(Scalar(-1))
-
-    def scale(self, s):
-        s = _as_lambda(s)
-        return NCElement(self.dim, {w: c * s for w, c in self.terms.items()})
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, NCElement):
-            return NotImplemented
-        return self.dim == other.dim and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.dim, frozenset(self.terms.items())))
-
-    def __repr__(self):
-        return f"NCElement({self.terms!r})"
-
-
-def _rewrite_word(word, coeff, bracket, out, leftmost=True):
-    """Accumulate the PBW normal form of coeff*word into out."""
+def _rewrite_word(word, coeff, bracket, leftmost=True):
+    """Yield (PBW word, coefficient) pairs summing to the normal form of
+    coeff*word; a word may occur more than once."""
     stack = [(tuple(word), coeff)]
+    n = bracket.shape[2]
     while stack:
         w, c = stack.pop()
         descents = [i for i in range(len(w) - 1) if w[i] > w[i + 1]]
         if not descents:
-            out[w] = out.get(w, L_ZERO) + c
+            yield w, c
             continue
         i = descents[0] if leftmost else descents[-1]
         swapped = w[:i] + (w[i + 1], w[i]) + w[i + 2:]
         stack.append((swapped, c))
         a, b = w[i], w[i + 1]
-        n = bracket.shape[2]
         for k in range(n):
             s = bracket.get(a, b, k)
             if not s.is_zero():
@@ -131,19 +97,18 @@ def _rewrite_word(word, coeff, bracket, out, leftmost=True):
 
 def normal_form(word, m: LieAlgebra, leftmost=True) -> NCElement:
     """PBW normal form of a basis word, using x y - y x = lambda [x,y]."""
-    out = {}
-    _rewrite_word(tuple(word), L_ONE, m.bracket, out, leftmost=leftmost)
-    return NCElement(m.dim, out)
+    return NCElement._nonzero(accumulate(
+        _rewrite_word(word, L_ONE, m.bracket, leftmost=leftmost)), m.dim)
 
 
 def nc_mul(a: NCElement, b: NCElement, m: LieAlgebra) -> NCElement:
     if a.dim != b.dim or a.dim != m.dim:
         raise ValueError("dimension mismatch")
-    out = {}
-    for wa, ca in a.terms.items():
-        for wb, cb in b.terms.items():
-            _rewrite_word(wa + wb, ca * cb, m.bracket, out)
-    return NCElement(a.dim, out)
+    return NCElement._nonzero(accumulate(
+        pair
+        for wa, ca in a.terms.items()
+        for wb, cb in b.terms.items()
+        for pair in _rewrite_word(wa + wb, ca * cb, m.bracket)), a.dim)
 
 
 def omega_word(word, prelie: PreLieProduct):
@@ -161,87 +126,36 @@ def omega_word(word, prelie: PreLieProduct):
     return v
 
 
-def _sorted_forms(forms):
-    """Sort a Grassmann monomial; returns (sign, tuple) or None if it
-    has a repeated generator."""
-    forms = list(forms)
-    sign = ONE
-    for i in range(1, len(forms)):
-        j = i
-        while j > 0 and forms[j - 1] > forms[j]:
-            forms[j - 1], forms[j] = forms[j], forms[j - 1]
-            sign = -sign
-            j -= 1
-    for i in range(len(forms) - 1):
-        if forms[i] == forms[i + 1]:
-            return None
-    return sign, tuple(forms)
-
-
-class FormElement:
+class FormElement(TermMap):
     """Element of the exterior calculus: map (PBW word, strictly
     increasing Grassmann monomial over the de_i) -> LambdaScalar."""
 
-    __slots__ = ("dim", "terms")
+    __slots__ = ("dim",)
+    _fields = ("dim",)
 
     def __init__(self, dim, terms=None):
-        clean = {}
-        for (word, forms), c in (terms or {}).items():
-            c = _as_lambda(c)
-            if c.is_zero():
-                continue
-            word, forms = tuple(word), tuple(forms)
-            if any(word[i] > word[i + 1] for i in range(len(word) - 1)):
-                raise ValueError(f"word {word} is not in PBW order")
+        object.__setattr__(self, "dim", dim)
+        TermMap.__init__(self, terms)
+
+    @staticmethod
+    def _checked(pairs):
+        for (word, forms), c in pairs:
+            forms = tuple(forms)
             if any(forms[i] >= forms[i + 1] for i in range(len(forms) - 1)):
                 raise ValueError(f"monomial {forms} not strictly increasing")
-            clean[(word, forms)] = c
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FormElement is immutable")
+            yield (_check_pbw(word), forms), c
 
     @staticmethod
     def from_nc(e: NCElement):
-        return FormElement(e.dim, {(w, ()): c for w, c in e.terms.items()})
+        return FormElement._nonzero(
+            {(w, ()): c for w, c in e.terms.items()}, e.dim)
 
     @staticmethod
     def d_generator(dim, i):
         return FormElement(dim, {((), (i,)): L_ONE})
 
-    def __add__(self, other):
-        if not isinstance(other, FormElement):
-            return NotImplemented
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = out.get(key, L_ZERO) + c
-        return FormElement(self.dim, out)
-
-    def __sub__(self, other):
-        return self + other.scale(Scalar(-1))
-
-    def scale(self, s):
-        s = _as_lambda(s)
-        return FormElement(self.dim,
-                           {k: c * s for k, c in self.terms.items()})
-
-    def is_zero(self):
-        return not self.terms
-
     def grades(self):
         return sorted({len(f) for (_, f) in self.terms})
-
-    def __eq__(self, other):
-        if not isinstance(other, FormElement):
-            return NotImplemented
-        return self.dim == other.dim and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.dim, frozenset(self.terms.items())))
-
-    def __repr__(self):
-        return f"FormElement({self.terms!r})"
 
 
 def differential_d(e: NCElement, prelie: PreLieProduct) -> FormElement:
@@ -256,25 +170,24 @@ def differential_d(e: NCElement, prelie: PreLieProduct) -> FormElement:
     """
     if e.dim != prelie.dim:
         raise ValueError("dimension mismatch")
-    out = {}
-    for word, c in e.terms.items():
-        n = len(word)
-        for s in range(1, n + 1):
-            lam = L_ONE
-            for _ in range(s - 1):
-                lam = lam * LAMBDA
-            for suffix_pos in combinations(range(n), s):
-                chosen = set(suffix_pos)
-                prefix = tuple(word[i] for i in range(n)
-                               if i not in chosen)
-                suffix = tuple(word[i] for i in suffix_pos)
-                ov = omega_word(suffix, prelie)
-                for k, comp in enumerate(ov):
-                    if comp.is_zero():
-                        continue
-                    key = (prefix, (k,))
-                    out[key] = out.get(key, L_ZERO) + c * lam * comp
-    return FormElement(e.dim, out)
+
+    def pieces():
+        for word, c in e.terms.items():
+            n = len(word)
+            cl = c
+            for s in range(1, n + 1):
+                for suffix_pos in combinations(range(n), s):
+                    chosen = set(suffix_pos)
+                    prefix = tuple(word[i] for i in range(n)
+                                   if i not in chosen)
+                    suffix = tuple(word[i] for i in suffix_pos)
+                    ov = omega_word(suffix, prelie)
+                    for k, comp in enumerate(ov):
+                        if not comp.is_zero():
+                            yield (prefix, (k,)), cl * comp
+                cl = cl * LAMBDA
+
+    return FormElement._nonzero(accumulate(pieces()), e.dim)
 
 
 def _forms_past_word(forms, word, prelie):
@@ -297,12 +210,10 @@ def _forms_past_word(forms, word, prelie):
                 continue
             sign, nf = sf
             pieces.append(((), nf, LAMBDA * (-(cs * sign))))
-    out = {}
-    for pre, f2, co in pieces:
-        for (w2, f3), co2 in _forms_past_word(f2, rest, prelie).items():
-            key = (pre + w2, f3)
-            out[key] = out.get(key, L_ZERO) + co * co2
-    return out
+    return accumulate(
+        ((pre + w2, f3), co * co2)
+        for pre, f2, co in pieces
+        for (w2, f3), co2 in _forms_past_word(f2, rest, prelie).items())
 
 
 def form_mul(a: FormElement, b: FormElement, m: LieAlgebra,
@@ -310,37 +221,39 @@ def form_mul(a: FormElement, b: FormElement, m: LieAlgebra,
     """Product in the differential graded algebra U_lambda(m) |x Lambda."""
     if a.dim != b.dim or a.dim != m.dim or a.dim != prelie.dim:
         raise ValueError("dimension mismatch")
-    out = {}
-    for (u, eta), ca in a.terms.items():
-        for (v, xi), cb in b.terms.items():
-            for (w, eta2), cc in _forms_past_word(eta, v, prelie).items():
-                sf = _sorted_forms(eta2 + xi)
-                if sf is None:
-                    continue
-                sign, wedge = sf
-                words = {}
-                _rewrite_word(u + w, ca * cb * cc * sign, m.bracket, words)
-                for pw, pc in words.items():
-                    key = (pw, wedge)
-                    out[key] = out.get(key, L_ZERO) + pc
-    return FormElement(a.dim, out)
+
+    def pieces():
+        for (u, eta), ca in a.terms.items():
+            for (v, xi), cb in b.terms.items():
+                for (w, eta2), cc in _forms_past_word(eta, v,
+                                                      prelie).items():
+                    sf = _sorted_forms(eta2 + xi)
+                    if sf is None:
+                        continue
+                    sign, wedge = sf
+                    for pw, pc in _rewrite_word(u + w, ca * cb * cc * sign,
+                                                m.bracket):
+                        yield (pw, wedge), pc
+
+    return FormElement._nonzero(accumulate(pieces()), a.dim)
 
 
 def exterior_d(e: FormElement, prelie: PreLieProduct) -> FormElement:
     """d extended as a graded super-derivation with d(de_i) = 0."""
     if e.dim != prelie.dim:
         raise ValueError("dimension mismatch")
-    out = {}
-    for (word, forms), c in e.terms.items():
-        dword = differential_d(NCElement(e.dim, {word: c}), prelie)
-        for (w, (k,)), cc in dword.terms.items():
-            sf = _sorted_forms((k,) + forms)
-            if sf is None:
-                continue
-            sign, wedge = sf
-            key = (w, wedge)
-            out[key] = out.get(key, L_ZERO) + cc * sign
-    return FormElement(e.dim, out)
+
+    def pieces():
+        for (word, forms), c in e.terms.items():
+            dword = differential_d(NCElement._nonzero({word: c}, e.dim),
+                                   prelie)
+            for (w, (k,)), cc in dword.terms.items():
+                sf = _sorted_forms((k,) + forms)
+                if sf is not None:
+                    sign, wedge = sf
+                    yield (w, wedge), cc * sign
+
+    return FormElement._nonzero(accumulate(pieces()), e.dim)
 
 
 def _pbw_words(dim, max_len, min_len=0):

@@ -10,12 +10,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from operator import itemgetter
 
 __all__ = [
     "Scalar",
     "LambdaScalar",
     "Tensor",
+    "TermMap",
     "GenPoly",
     "RatFunc",
     "ZERO",
@@ -26,6 +28,7 @@ __all__ = [
     "L_ONE",
     "tensor_contract",
     "contract_sum",
+    "accumulate",
     "linear_kernel",
     "ratfunc_equal",
     "genpoly_derivative",
@@ -543,7 +546,118 @@ def linear_kernel(m):
     return basis
 
 
-class GenPoly:
+def accumulate(pairs):
+    """Sum an iterable of (key, value) pairs into a dict, dropping the
+    keys whose sum is zero.  Values need only + and is_zero(), so this
+    serves Scalar, LambdaScalar and GenPoly coefficients alike; each
+    key keeps the position of its first occurrence."""
+    out = {}
+    get = out.get
+    for key, value in pairs:
+        old = get(key)
+        out[key] = value if old is None else old + value
+    return {k: v for k, v in out.items() if not v.is_zero()}
+
+
+def _sorted_forms(forms):
+    """Sort a Grassmann monomial; returns (sign, tuple) or None if it
+    has a repeated generator."""
+    forms = list(forms)
+    sign = ONE
+    for i in range(1, len(forms)):
+        j = i
+        while j > 0 and forms[j - 1] > forms[j]:
+            forms[j - 1], forms[j] = forms[j], forms[j - 1]
+            sign = -sign
+            j -= 1
+    for i in range(len(forms) - 1):
+        if forms[i] == forms[i + 1]:
+            return None
+    return sign, tuple(forms)
+
+
+class TermMap:
+    """Immutable finite linear combination: ``terms`` maps hashable keys
+    to nonzero LambdaScalar coefficients.
+
+    Subclasses validate (and may normalize) keys in ``_checked``, which
+    only the public constructor runs; results built from terms that are
+    already valid go through ``_nonzero``.  Attributes named in
+    ``_fields`` (such as ``dim``) are carried along and take part in
+    equality.
+    """
+
+    __slots__ = ("terms",)
+    _fields = ()
+
+    def __init__(self, terms=None):
+        object.__setattr__(self, "terms", accumulate(self._checked(
+            (key, q if isinstance(q, LambdaScalar) else LambdaScalar(q))
+            for key, q in (terms or {}).items())))
+
+    @staticmethod
+    def _checked(pairs):
+        return pairs
+
+    @classmethod
+    def _nonzero(cls, terms, *fields):
+        """Instance over a dict of nonzero coefficients whose keys are
+        already valid, with the values of ``_fields`` in order."""
+        out = object.__new__(cls)
+        for name, value in zip(cls._fields, fields):
+            object.__setattr__(out, name, value)
+        object.__setattr__(out, "terms", terms)
+        return out
+
+    def _header(self):
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def _like(self, terms):
+        return self._nonzero(terms, *self._header())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def items(self):
+        """Deterministic iteration: sorted keys."""
+        return sorted(self.terms.items())
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._like(accumulate(chain(self.terms.items(),
+                                           other.terms.items())))
+
+    def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._like(accumulate(chain(
+            self.terms.items(), ((k, -q) for k, q in other.terms.items()))))
+
+    def __neg__(self):
+        return self._like({k: -q for k, q in self.terms.items()})
+
+    def scale(self, s):
+        s = s if isinstance(s, LambdaScalar) else LambdaScalar(s)
+        return self._like(accumulate((k, q * s)
+                                     for k, q in self.terms.items()))
+
+    def is_zero(self):
+        return not self.terms
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._header() == other._header() and self.terms == other.terms
+
+    def __hash__(self):
+        return hash((self._header(), frozenset(self.terms.items())))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.terms!r})"
+
+
+class GenPoly(TermMap):
     """Finite sum of terms q * x^a * t^b with a rational, b natural.
 
     Coefficients q are LambdaScalars.  The product implemented here is
@@ -551,89 +665,40 @@ class GenPoly:
     layers the lambda-deformed normal ordering on top of this carrier.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for (a, b), q in terms.items():
-                a = Fraction(a)
-                b = int(b)
-                if b < 0:
-                    raise ValueError("t-exponent must be natural")
-                q = q if isinstance(q, LambdaScalar) else LambdaScalar(q)
-                if not q.is_zero():
-                    key = (a, b)
-                    if key in clean:
-                        q = clean[key] + q
-                        if q.is_zero():
-                            del clean[key]
-                            continue
-                    clean[key] = q
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GenPoly is immutable")
+    @staticmethod
+    def _checked(pairs):
+        for (a, b), q in pairs:
+            b = int(b)
+            if b < 0:
+                raise ValueError("t-exponent must be natural")
+            yield (Fraction(a), b), q
 
     @staticmethod
     def monomial(a=0, b=0, q=1):
-        return GenPoly({(Fraction(a), int(b)): LambdaScalar(q)
-                        if not isinstance(q, LambdaScalar) else q})
+        return GenPoly({(a, b): q})
 
     @staticmethod
     def const(q):
         return GenPoly.monomial(0, 0, q)
 
-    def items(self):
-        return sorted(self.terms.items())
-
-    def __add__(self, other):
-        if not isinstance(other, GenPoly):
-            return NotImplemented
-        out = dict(self.terms)
-        for key, q in other.terms.items():
-            out[key] = out.get(key, L_ZERO) + q
-        return GenPoly(out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return GenPoly({k: -q for k, q in self.terms.items()})
-
     def __mul__(self, other):
         """Commutative product (classical limit bookkeeping)."""
         if not isinstance(other, GenPoly):
             return NotImplemented
-        out = {}
-        for (a1, b1), q1 in self.terms.items():
-            for (a2, b2), q2 in other.terms.items():
-                key = (a1 + a2, b1 + b2)
-                out[key] = out.get(key, L_ZERO) + q1 * q2
-        return GenPoly(out)
-
-    def scale(self, q):
-        q = q if isinstance(q, LambdaScalar) else LambdaScalar(q)
-        return GenPoly({k: v * q for k, v in self.terms.items()})
+        return self._like(accumulate(
+            ((a1 + a2, b1 + b2), q1 * q2)
+            for (a1, b1), q1 in self.terms.items()
+            for (a2, b2), q2 in other.terms.items()))
 
     def eval_lambda(self, lam: Scalar) -> "GenPoly":
         return GenPoly(
             {k: LambdaScalar(v.evaluate(lam)) for k, v in self.terms.items()}
         )
 
-    def is_zero(self):
-        return not self.terms
-
     def max_lambda_degree(self):
         return max((len(q.coeffs) - 1 for q in self.terms.values()), default=-1)
-
-    def __eq__(self, other):
-        if not isinstance(other, GenPoly):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(tuple(sorted(self.terms.items())))
 
     def __repr__(self):
         if not self.terms:
@@ -653,20 +718,13 @@ def genpoly_derivative(f: GenPoly, var: str) -> GenPoly:
     """Term-wise derivative: d/dx x^a = a x^(a-1), d/dt t^b = b t^(b-1)."""
     if var not in ("x", "t"):
         raise ValueError("var must be 'x' or 't'")
-    out = {}
-    for (a, b), q in f.terms.items():
-        if var == "x":
-            if a == 0:
-                continue
-            key = (a - 1, b)
-            factor = LambdaScalar(Scalar(a))
-        else:
-            if b == 0:
-                continue
-            key = (a, b - 1)
-            factor = LambdaScalar(Scalar(b))
-        out[key] = out.get(key, L_ZERO) + q * factor
-    return GenPoly(out)
+    if var == "x":
+        pairs = (((a - 1, b), q * LambdaScalar(Scalar(a)))
+                 for (a, b), q in f.terms.items() if a != 0)
+    else:
+        pairs = (((a, b - 1), q * LambdaScalar(Scalar(b)))
+                 for (a, b), q in f.terms.items() if b != 0)
+    return f._like(accumulate(pairs))
 
 
 class RatFunc:

@@ -21,11 +21,11 @@ and d(g) = g (g^{-1}|>theta - theta), d(alpha_i) = y_i.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iproduct
+from itertools import chain, product as iproduct
 from math import comb
 
-from .dga import _sorted_forms
-from .exact_core import ONE, Scalar, ZERO, linear_kernel
+from .exact_core import ONE, Scalar, ZERO, _sorted_forms, accumulate, \
+    linear_kernel
 
 __all__ = [
     "GroupDGAData",
@@ -129,20 +129,13 @@ class GroupDGA:
         return {((0,) * self.n, self.identity, (f,)): ONE}
 
     def add(self, a, b):
-        out = dict(a)
-        for k, v in b.items():
-            s = out.get(k, ZERO) + v
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return out
+        return accumulate(chain(a.items(), b.items()))
 
     def scale(self, a, s):
-        return {k: v * s for k, v in a.items() if not (v * s).is_zero()}
+        return accumulate((k, v * s) for k, v in a.items())
 
     def sub(self, a, b):
-        return self.add(a, self.scale(b, Scalar(-1)))
+        return accumulate(chain(a.items(), ((k, -v) for k, v in b.items())))
 
     def is_zero(self, a):
         return all(v.is_zero() for v in a.values())
@@ -158,7 +151,9 @@ class GroupDGA:
         return _sorted_forms(res)
 
     def mul(self, a, b):
-        out = {}
+        return accumulate(self._mul_pieces(a, b))
+
+    def _mul_pieces(self, a, b):
         for (A, g, eta), ca in a.items():
             for (B, h, xi), cb in b.items():
                 base = ca * cb
@@ -193,12 +188,7 @@ class GroupDGA:
                         self.data.cayley[g][h],
                         forms,
                     )
-                    v = out.get(key, ZERO) + coeff * s1 * s2
-                    if v.is_zero():
-                        out.pop(key, None)
-                    else:
-                        out[key] = v
-        return out
+                    yield key, coeff * s1 * s2
 
     # -- differential ----------------------------------------------------
     def _theta_forms(self, g):
@@ -212,17 +202,9 @@ class GroupDGA:
 
     def d(self, a):
         """The super-derivation: d(alpha^A g . eta) = d(alpha^A g) . eta."""
-        out = {}
+        return accumulate(self._d_pieces(a))
 
-        def bump(key, v):
-            if v.is_zero():
-                return
-            s = out.get(key, ZERO) + v
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
-
+    def _d_pieces(self, a):
         for (A, g, eta), c in a.items():
             pieces = []
             # sum_i sum_{m>=1} (-1)^{m-1} C(A_i,m) alpha^{A-m e_i} g (g^{-1}|>y_i)
@@ -242,8 +224,7 @@ class GroupDGA:
                 if wedge is None:
                     continue
                 sign, forms = wedge
-                bump((A2, g, forms), c * coeff * sign)
-        return out
+                yield (A2, g, forms), c * coeff * sign
 
     # -- the omega-tilde module map --------------------------------------
     def omega_tilde(self, a):

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
+from itertools import chain
+
 from .exact_core import (
     GenPoly,
     LambdaScalar,
@@ -25,6 +27,8 @@ from .exact_core import (
     RatFunc,
     Scalar,
     ZERO,
+    _sorted_forms,
+    accumulate,
     ratfunc_equal,
 )
 
@@ -76,23 +80,20 @@ def _shifted_t_power(b: int, shift: Scalar) -> GenPoly:
 
 def func_mul(f: GenPoly, g: GenPoly) -> GenPoly:
     """Deformed product: x^a t^b x^c t^d = x^(a+c) (t - lambda c)^b t^d."""
-    out = GenPoly({})
-    for (a, b), q1 in f.terms.items():
-        for (c, d), q2 in g.terms.items():
-            shifted = _shifted_t_power(b, -Scalar(c))
-            piece = GenPoly({(a + c, d): q1 * q2}) * shifted
-            out = out + piece
-    return out
+    return GenPoly._nonzero(accumulate(
+        ((a + c, d + j), q1 * q2 * s)
+        for (a, b), q1 in f.terms.items()
+        for (c, d), q2 in g.terms.items()
+        for (_, j), s in _shifted_t_power(b, -Scalar(c)).terms.items()))
 
 
 def func_star(f: GenPoly) -> GenPoly:
     """Star on functions: (x^a t^b)* = t^b x^a = x^a (t - lambda a)^b,
     with coefficients conjugated (lambda* = -lambda, i* = -i)."""
-    out = GenPoly({})
-    for (a, b), q in f.terms.items():
-        out = out + GenPoly({(a, 0): q.conj()}) \
-            * _shifted_t_power(b, -Scalar(a))
-    return out
+    return GenPoly._nonzero(accumulate(
+        ((a, j), q.conj() * s)
+        for (a, b), q in f.terms.items()
+        for (_, j), s in _shifted_t_power(b, -Scalar(a)).terms.items()))
 
 
 def _monomial_rule(calculus, param, xi, a, b):
@@ -148,15 +149,6 @@ def form_past_func(calculus, param, xi, f: GenPoly):
     return out
 
 
-def _wedge_append(word, xi):
-    """Append d(xi) on the right of a sorted Grassmann word; returns
-    (sorted word, sign) or (None, 0) on a repeated generator."""
-    if xi in word:
-        return None, 0
-    k = sum(1 for e in word if e > xi)
-    return tuple(sorted(word + (xi,))), (-1) ** k
-
-
 def _push_func_left(calculus, param, word, f):
     """Normal order (forms in word) . f as [(word', GenPoly)]."""
     if not word:
@@ -168,10 +160,11 @@ def _push_func_left(calculus, param, word, f):
             continue
         for w2, f2 in _push_func_left(calculus, param, word[:-1],
                                       moved[eta]):
-            w3, sign = _wedge_append(w2, eta)
-            if w3 is None:
+            sf = _sorted_forms(w2 + (eta,))
+            if sf is None:
                 continue
-            out.append((w3, f2 if sign == 1 else -f2))
+            sign, w3 = sf
+            out.append((w3, f2 if sign == ONE else -f2))
     return out
 
 
@@ -186,24 +179,20 @@ def normal_order_localized(factors, calculus, param=None):
     _require_calculus(calculus)
     state = {(): GenPoly.const(1)}
     for f in factors:
-        new = {}
         if isinstance(f, str):
             if f not in ("dx", "dt"):
                 raise ValueError(f"unknown form symbol {f!r}")
             xi = DX if f == "dx" else DT
-            for word, coeff in state.items():
-                w2, sign = _wedge_append(word, xi)
-                if w2 is None:
-                    continue
-                new[w2] = new.get(w2, GenPoly({})) \
-                    + (coeff if sign == 1 else -coeff)
+            state = accumulate(
+                (sf[1], coeff if sf[0] == ONE else -coeff)
+                for word, coeff in state.items()
+                if (sf := _sorted_forms(word + (xi,))) is not None)
         else:
-            for word, coeff in state.items():
-                for w2, f2 in _push_func_left(calculus, param, word, f):
-                    new[w2] = new.get(w2, GenPoly({})) \
-                        + func_mul(coeff, f2)
-        state = new
-    return {w: c for w, c in state.items() if not c.is_zero()}
+            state = accumulate(
+                (w2, func_mul(coeff, f2))
+                for word, coeff in state.items()
+                for w2, f2 in _push_func_left(calculus, param, word, f))
+    return state
 
 
 def form_star(calculus, param, comps):
@@ -261,16 +250,9 @@ class MetricCandidate:
         object.__setattr__(self, "coefficients", rows)
 
 
-def _tensor_term(calculus, param, f1, xi, f2, eta, acc):
-    """Accumulate (f1 d(xi)) (x) (f2 d(eta)) into the coefficient map."""
-    moved = form_past_func(calculus, param, xi, f2)
-    for zeta in (DX, DT):
-        piece = func_mul(f1, moved[zeta])
-        if not piece.is_zero():
-            acc[(zeta, eta)] = acc.get((zeta, eta), GenPoly({})) + piece
-
-
-def _tensor(calculus, param, w1, w2, acc, scale=None):
+def _tensor(calculus, param, w1, w2, scale=None):
+    """Yield ((zeta, eta), function) pieces of w1 (x) w2 in normal order:
+    (f1 d(xi)) (x) (f2 d(eta)) = f1 (d(xi) . f2) (x) d(eta)."""
     for xi in (DX, DT):
         if w1[xi].is_zero():
             continue
@@ -278,7 +260,9 @@ def _tensor(calculus, param, w1, w2, acc, scale=None):
             f2 = w2[eta] if scale is None else w2[eta].scale(scale)
             if f2.is_zero():
                 continue
-            _tensor_term(calculus, param, w1[xi], xi, f2, eta, acc)
+            moved = form_past_func(calculus, param, xi, f2)
+            for zeta in (DX, DT):
+                yield (zeta, eta), func_mul(w1[xi], moved[zeta])
 
 
 def metric_from_uv(calculus, param, c1, c2, c3) -> MetricCandidate:
@@ -294,23 +278,24 @@ def metric_from_uv(calculus, param, c1, c2, c3) -> MetricCandidate:
     c1, c2, c3 = (Scalar(Fraction(c)) if not isinstance(c, Scalar) else c
                   for c in (c1, c2, c3))
     u, v = one_form_u_v(calculus, param)
-    acc = {}
     if calculus == "b1":
-        _tensor(calculus, param, _scale_form(u, c1), u, acc)
-        _tensor(calculus, param, _scale_form(u, c2), v, acc)
-        _tensor(calculus, param, _scale_form(v, c2), u, acc)
-        _tensor(calculus, param, _scale_form(v, c3), v, acc)
+        acc = accumulate(chain(
+            _tensor(calculus, param, _scale_form(u, c1), u),
+            _tensor(calculus, param, _scale_form(u, c2), v),
+            _tensor(calculus, param, _scale_form(v, c2), u),
+            _tensor(calculus, param, _scale_form(v, c3), v)))
     else:
         k = Scalar(Fraction(param)) if calculus == "b2" else ONE
         vs = form_star(calculus, param, v)
-        _tensor(calculus, param, _scale_form(u, c1), u, acc)
-        _tensor(calculus, param, _scale_form(u, c2), v, acc)
-        _tensor(calculus, param, _scale_form(vs, c2), u, acc)
-        _tensor(calculus, param, _scale_form(vs, c3), v, acc)
         lam_k = _lam(k)
-        _tensor(calculus, param, _scale_form(u, c3), v, acc, scale=lam_k)
-        _tensor(calculus, param, _scale_form(vs, c3), u, acc,
-                scale=-lam_k)
+        acc = accumulate(chain(
+            _tensor(calculus, param, _scale_form(u, c1), u),
+            _tensor(calculus, param, _scale_form(u, c2), v),
+            _tensor(calculus, param, _scale_form(vs, c2), u),
+            _tensor(calculus, param, _scale_form(vs, c3), v),
+            _tensor(calculus, param, _scale_form(u, c3), v, scale=lam_k),
+            _tensor(calculus, param, _scale_form(vs, c3), u,
+                    scale=-lam_k)))
     rows = [[acc.get((xi, eta), GenPoly({})) for eta in (DX, DT)]
             for xi in (DX, DT)]
     return MetricCandidate(calculus, param, tuple(map(tuple, rows)))
@@ -346,24 +331,23 @@ def standard_metric(case: int, alpha=None, beta=None,
 
 def _metric_times_func(M: MetricCandidate, h: GenPoly):
     """g . h with h moved into normal order through both tensor legs."""
-    acc = {}
-    for xi in (DX, DT):
-        for eta in (DX, DT):
-            f = M.coefficients[xi][eta]
-            if f.is_zero():
-                continue
-            step1 = form_past_func(M.calculus, M.param, eta, h)
-            for kappa in (DX, DT):
-                if step1[kappa].is_zero():
+
+    def pieces():
+        for xi in (DX, DT):
+            for eta in (DX, DT):
+                f = M.coefficients[xi][eta]
+                if f.is_zero():
                     continue
-                step2 = form_past_func(M.calculus, M.param, xi,
-                                       step1[kappa])
-                for zeta in (DX, DT):
-                    piece = func_mul(f, step2[zeta])
-                    if not piece.is_zero():
-                        acc[(zeta, kappa)] = acc.get(
-                            (zeta, kappa), GenPoly({})) + piece
-    return acc
+                step1 = form_past_func(M.calculus, M.param, eta, h)
+                for kappa in (DX, DT):
+                    if step1[kappa].is_zero():
+                        continue
+                    step2 = form_past_func(M.calculus, M.param, xi,
+                                           step1[kappa])
+                    for zeta in (DX, DT):
+                        yield (zeta, kappa), func_mul(f, step2[zeta])
+
+    return accumulate(pieces())
 
 
 def check_metric(M: MetricCandidate, with_witnesses=False):
@@ -387,24 +371,23 @@ def check_metric(M: MetricCandidate, with_witnesses=False):
         witnesses["wedge_symmetric"].append("dx^dt")
 
     # reality: flip(*(x)*) g = g
-    flipped = {}
-    for xi in (DX, DT):
-        for eta in (DX, DT):
-            f = M.coefficients[xi][eta]
-            if f.is_zero():
-                continue
-            # (f dxi (x) deta)* -> deta (x) dxi . f*
-            starred = form_past_func(calculus, param, xi, func_star(f))
-            for zeta in (DX, DT):
-                if starred[zeta].is_zero():
+    def flipped_pieces():
+        for xi in (DX, DT):
+            for eta in (DX, DT):
+                f = M.coefficients[xi][eta]
+                if f.is_zero():
                     continue
-                moved = form_past_func(calculus, param, eta,
-                                       starred[zeta])
-                for kappa in (DX, DT):
-                    piece = moved[kappa]
-                    if not piece.is_zero():
-                        flipped[(kappa, zeta)] = flipped.get(
-                            (kappa, zeta), GenPoly({})) + piece
+                # (f dxi (x) deta)* -> deta (x) dxi . f*
+                starred = form_past_func(calculus, param, xi, func_star(f))
+                for zeta in (DX, DT):
+                    if starred[zeta].is_zero():
+                        continue
+                    moved = form_past_func(calculus, param, eta,
+                                           starred[zeta])
+                    for kappa in (DX, DT):
+                        yield (kappa, zeta), moved[kappa]
+
+    flipped = accumulate(flipped_pieces())
     for xi in (DX, DT):
         for eta in (DX, DT):
             if flipped.get((xi, eta), GenPoly({})) \

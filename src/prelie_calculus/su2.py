@@ -26,8 +26,10 @@ from .exact_core import (
     LambdaScalar,
     ONE,
     Scalar,
+    TermMap,
     Tensor,
     ZERO,
+    accumulate,
 )
 from .catalog import b_family, su2_dual_lie
 from .prelie import (
@@ -49,7 +51,20 @@ __all__ = [
 HALF = Scalar(Fraction(1, 2))
 
 
-class SL2Poly:
+def _ad_rewritten(pairs):
+    """Apply a^ea d^ed = a^(ea-1) d^(ed-1) (1 + bc) until no yielded
+    exponent tuple has both ea and ed positive."""
+    work = list(pairs)
+    while work:
+        (ea, eb, ec, ed), q = work.pop()
+        if ea > 0 and ed > 0:
+            work.append(((ea - 1, eb, ec, ed - 1), q))
+            work.append(((ea - 1, eb + 1, ec + 1, ed - 1), q))
+        else:
+            yield (ea, eb, ec, ed), q
+
+
+class SL2Poly(TermMap):
     """Commutative polynomial in a, b, c, d modulo ad - bc - 1.
 
     Terms map exponent 4-tuples (ea, eb, ec, ed) to LambdaScalar
@@ -58,59 +73,20 @@ class SL2Poly:
     normalized monomials have ea * ed = 0.
     """
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        clean = {}
-        work = list((terms or {}).items())
-        while work:
-            (ea, eb, ec, ed), q = work.pop()
-            q = q if isinstance(q, LambdaScalar) else LambdaScalar(q)
-            if q.is_zero():
-                continue
-            if ea > 0 and ed > 0:
-                # a^ea d^ed = a^(ea-1) d^(ed-1) (1 + bc)
-                work.append(((ea - 1, eb, ec, ed - 1), q))
-                work.append(((ea - 1, eb + 1, ec + 1, ed - 1), q))
-                continue
-            key = (ea, eb, ec, ed)
-            acc = clean.get(key, L_ZERO) + q
-            if acc.is_zero():
-                clean.pop(key, None)
-            else:
-                clean[key] = acc
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SL2Poly is immutable")
+    __slots__ = ()
+    _checked = staticmethod(_ad_rewritten)
 
     @staticmethod
     def const(q):
         return SL2Poly({(0, 0, 0, 0): q})
 
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, q in other.terms.items():
-            out[k] = out.get(k, L_ZERO) + q
-        return SL2Poly(out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return SL2Poly({k: -q for k, q in self.terms.items()})
-
     def __mul__(self, other):
-        out = {}
-        for k1, q1 in self.terms.items():
-            for k2, q2 in other.terms.items():
-                key = tuple(e1 + e2 for e1, e2 in zip(k1, k2))
-                out[key] = out.get(key, L_ZERO) + q1 * q2
-        return SL2Poly(out)
-
-    def scale(self, q):
-        q = q if isinstance(q, LambdaScalar) else LambdaScalar(q)
-        return SL2Poly({k: v * q for k, v in self.terms.items()})
+        if type(other) is not SL2Poly:
+            return NotImplemented
+        return self._like(accumulate(_ad_rewritten(
+            (tuple(e1 + e2 for e1, e2 in zip(k1, k2)), q1 * q2)
+            for k1, q1 in self.terms.items()
+            for k2, q2 in other.terms.items())))
 
     def counit(self) -> LambdaScalar:
         """Evaluate a, d -> 1 and b, c -> 0."""
@@ -120,22 +96,11 @@ class SL2Poly:
                 acc = acc + q
         return acc
 
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, SL2Poly):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(tuple(sorted(self.terms.items())))
-
     def __repr__(self):
         if not self.terms:
             return "0"
         parts = []
-        for key, q in sorted(self.terms.items()):
+        for key, q in self.items():
             mono = "".join(f"{g}^{e}" for g, e in zip("abcd", key) if e)
             parts.append(f"({q!r}){mono}")
         return " + ".join(parts)

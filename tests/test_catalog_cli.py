@@ -54,7 +54,7 @@ class TestCLIExitCodes:
     def test_unknown_instance(self, capsys):
         code, _, err = run(capsys, "check", "--instance", "nope")
         assert code == 2
-        assert "unknown instance" in err
+        assert err == "error: unknown instance 'nope'\n"
 
     def test_schema_violation(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
@@ -70,6 +70,33 @@ class TestCLIExitCodes:
         code, _, _ = run(capsys, "check", "--instance-file", str(bad))
         assert code == 3
 
+    def test_duplicate_id_is_usage_error(self, capsys, tmp_path):
+        # a failing file under a catalog id must not be hidden by the
+        # passing catalog entry of the same id
+        inst = tmp_path / "b4.json"
+        inst.write_text(json.dumps({
+            "id": "b4", "kind": "prelie",
+            "payload": {"dim": 2, "names": ["x", "t"],
+                        "xi": [[0, 0, 1, 1, 1, 0, 1],
+                               [1, 1, 1, 1, 1, 0, 1]]}}))
+        code, _, _ = run(capsys, "check", "--instance-file", str(inst))
+        assert code == 1
+        code, out, err = run(capsys, "check", "--instance", "b4",
+                             "--instance-file", str(inst))
+        assert code == 2
+        assert out == ""
+        assert "duplicate instance id 'b4'" in err
+        code, _, _ = run(capsys, "check", "--instance", "b4",
+                         "--instance", "b4")
+        assert code == 2
+
+    def test_internal_key_error_is_not_a_usage_error(self, monkeypatch):
+        def broken(entry, max_len):
+            raise KeyError("internal")
+        monkeypatch.setattr(cli, "_check_instance", broken)
+        with pytest.raises(KeyError):
+            cli.main(["check", "--instance", "b4"])
+
     def test_failing_check_exits_one(self, capsys, tmp_path):
         # x o x = t, t o t = t is not left-symmetric over [x,t] = x
         inst = tmp_path / "broken.json"
@@ -81,6 +108,47 @@ class TestCLIExitCodes:
         code, out, _ = run(capsys, "check", "--instance-file", str(inst))
         assert code == 1
         assert "overall: FAIL" in out
+
+
+def _prelie_file(**payload):
+    """A dim-2 pre-Lie instance file (x o x = t) with fields replaced."""
+    base = {"dim": 2, "names": ["x", "t"], "xi": [[0, 0, 1, 1, 1, 0, 1]]}
+    base.update(payload)
+    return {"id": "malformed", "kind": "prelie", "payload": base}
+
+
+# one case per malformed input; each one raised a traceback or was
+# accepted before the parse boundary validated numbers
+MALFORMED = [
+    pytest.param(_prelie_file(xi=[[0, 0, 1, 1, 0, 0, 1]]), (), 3,
+                 id="zero-denominator-in-row"),
+    pytest.param(None, ("metric", "--case", "1", "--alpha", "[1,0]"), 2,
+                 id="zero-denominator-in-flag"),
+    pytest.param(_prelie_file(dim="abc"), (), 3, id="dim-not-a-number"),
+    pytest.param(_prelie_file(dim=-1, xi=[]), (), 3, id="negative-dim"),
+    pytest.param(_prelie_file(names=["x"]), (), 3, id="names-wrong-length"),
+    pytest.param(_prelie_file(xi=[[0, 0, 1, True, 1, 0, 1]]), (), 3,
+                 id="json-true-as-number"),
+    pytest.param(None, ("calculus", "--instance", "b4", "--max-len", "-1"),
+                 2, id="max-len-below-1"),
+    pytest.param(dict(_prelie_file(), id=["x"]), (), 3, id="id-not-a-string"),
+]
+
+
+@pytest.mark.parametrize("document, argv, expected", MALFORMED)
+def test_malformed_numbers_exit_cleanly(capsys, tmp_path, document, argv,
+                                        expected):
+    if document is not None:
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(document))
+        argv = ("check", "--instance-file", str(path))
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:  # argparse rejects bad flag values
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == expected
+    assert "Traceback" not in err and "error" in err
 
 
 class TestCLIReports:

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from prelie_calculus.dga import FormElement, NCElement
 from prelie_calculus.exact_core import (
     GenPoly,
     I,
@@ -16,12 +17,14 @@ from prelie_calculus.exact_core import (
     Scalar,
     Tensor,
     ZERO,
+    accumulate,
     genpoly_derivative,
     linear_kernel,
     contract_sum,
     ratfunc_equal,
     tensor_contract,
 )
+from prelie_calculus.su2 import SL2Poly
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=9)
 scalars = st.builds(Scalar, rationals, rationals)
@@ -292,3 +295,104 @@ class TestRatFunc:
         inv = one / x
         # d/dx (1/x) = -1/x^2
         assert ratfunc_equal(inv.derivative("x"), -(one / (x * x)))
+
+
+# -- the shared term-map base ----------------------------------------------
+
+small_lambda = st.builds(
+    lambda cs: LambdaScalar(cs),
+    st.lists(st.builds(Scalar, st.integers(-3, 3), st.integers(-1, 1)),
+             max_size=2))
+pbw_words = st.lists(st.integers(0, 2), max_size=3).map(
+    lambda w: tuple(sorted(w)))
+form_monomials = st.sets(st.integers(0, 2), max_size=2).map(
+    lambda f: tuple(sorted(f)))
+
+
+def term_maps(keys, build):
+    return st.dictionaries(keys, small_lambda, max_size=4).map(build)
+
+
+TERM_MAPS = {
+    "GenPoly": term_maps(
+        st.tuples(st.fractions(-3, 3, max_denominator=2),
+                  st.integers(0, 3)), GenPoly),
+    "NCElement": term_maps(pbw_words, lambda t: NCElement(3, t)),
+    "FormElement": term_maps(st.tuples(pbw_words, form_monomials),
+                             lambda t: FormElement(3, t)),
+    "SL2Poly": term_maps(st.tuples(*[st.integers(0, 2)] * 4), SL2Poly),
+}
+
+
+def _clean(p):
+    return all(not q.is_zero() for q in p.terms.values())
+
+
+@pytest.mark.parametrize("kind", sorted(TERM_MAPS))
+class TestTermMap:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_group_laws(self, kind, data):
+        a, b = (data.draw(TERM_MAPS[kind]) for _ in range(2))
+        assert a + b == b + a
+        assert (a + b) - b == a
+        assert (a - a).terms == {}
+        assert -(-a) == a and (a + (-a)).is_zero()
+        assert a.scale(0).is_zero()
+        assert a.scale(2) == a + a
+        assert all(_clean(p) for p in (a, a + b, a - b, a.scale(LAMBDA)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_equal_values_hash_equal(self, kind, data):
+        a, b = (data.draw(TERM_MAPS[kind]) for _ in range(2))
+        reordered = a._like(dict(reversed(a.terms.items())))
+        assert reordered == a and hash(reordered) == hash(a)
+        assert (a + b) - b == a and hash((a + b) - b) == hash(a)
+        if a == b:
+            assert hash(a) == hash(b)
+
+    @settings(max_examples=5, deadline=None)
+    @given(data=st.data())
+    def test_immutable(self, kind, data):
+        p = data.draw(TERM_MAPS[kind])
+        with pytest.raises(AttributeError):
+            p.terms = {}
+
+
+@settings(max_examples=40, deadline=None)
+@given(TERM_MAPS["SL2Poly"], TERM_MAPS["SL2Poly"])
+def test_sl2_products_stay_normalized(p, q):
+    assert all(ea == 0 or ed == 0 for ea, _, _, ed in (p * q).terms)
+    assert _clean(p * q)
+
+
+def test_dim_is_part_of_equality():
+    assert NCElement(2, {(0,): 1}) != NCElement(3, {(0,): 1})
+    assert FormElement(2, {}) != FormElement(3, {})
+    assert NCElement(2, {(0,): 1}) != FormElement(2, {((0,), ()): 1})
+
+
+def test_public_constructors_validate_keys():
+    with pytest.raises(ValueError, match="PBW"):
+        NCElement(2, {(1, 0): 1})
+    with pytest.raises(ValueError, match="PBW"):
+        FormElement(2, {((1, 0), ()): 1})
+    with pytest.raises(ValueError, match="strictly increasing"):
+        FormElement(2, {((), (1, 0)): 1})
+    with pytest.raises(ValueError, match="strictly increasing"):
+        FormElement(2, {((), (0, 0)): 1})
+    with pytest.raises(ValueError, match="natural"):
+        GenPoly({(0, -1): 1})
+    # a*d is rewritten to 1 + b*c on construction
+    assert SL2Poly({(1, 0, 0, 1): 1}) == SL2Poly(
+        {(0, 0, 0, 0): 1, (0, 1, 1, 0): 1})
+
+
+def test_accumulate_merges_and_drops_zeros():
+    out = accumulate([("a", ONE), ("b", I), ("a", -ONE), ("c", ZERO),
+                      ("b", I)])
+    assert out == {"b": Scalar(0, 2)}
+    polys = accumulate([(0, GenPoly.const(1)), (0, GenPoly.const(-1))])
+    assert polys == {}
+    assert list(accumulate([(2, L_ONE), (1, L_ONE), (2, L_ONE)])) == [2, 1]
