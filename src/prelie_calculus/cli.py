@@ -16,6 +16,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from .catalog import b_lie, load_catalog, su2_dual_lie
 from .constructions import (
@@ -59,6 +60,15 @@ USAGE_ERROR, CHECK_FAILED, SCHEMA_ERROR = 2, 1, 3
 
 class SchemaError(Exception):
     pass
+
+
+class UsageError(Exception):
+    pass
+
+
+class PreconditionFailed(Exception):
+    """A library precondition does not hold for an instance: its report
+    becomes {"error": msg} and the run fails."""
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +156,8 @@ def _parse_prelie(payload):
         i, j, k = (_parse_int(v, "index") for v in row[:3])
         if not all(0 <= v < dim for v in (i, j, k)):
             raise SchemaError(f"index out of range in {row!r}")
+        if (i, j, k) in entries:
+            raise SchemaError(f"repeated coefficient triple {row!r}")
         entries[(i, j, k)] = _parse_scalar(row[3:])
     return PreLieProduct(dim, tuple(names), Tensor((dim, dim, dim), entries))
 
@@ -215,7 +227,7 @@ def _prelie_context(entry, obj):
             LieAlgebra(2, lie.basis_names, Tensor((2, 2, 2), {})),
             LieCoalgebra(2, lie.basis_names, Tensor((2, 2, 2), cob)))
         return lie, bialg
-    if entry["id"].startswith("su2"):
+    if obj.dim == 3 and entry["id"].startswith("su2"):
         return su2_dual_lie(), None
     return None, None
 
@@ -256,8 +268,6 @@ def _check_instance(entry, max_len):
         rep = check_group_dga(obj, max_len=min(max_len, 3))
         report["passed"] = rep["passed"]
         report["warnings"] = len(rep["warnings"])
-    else:
-        report["known_kind"] = False
     return report
 
 
@@ -303,187 +313,169 @@ def _all_bools_pass(report):
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: one report per entry, run by `_run`
 
-def _cmd_check(args):
-    if not args.instance and not args.instance_file:
-        raise UsageError("check requires at least one --instance "
-                         "or --instance-file")
-    entries = _resolve(args.instance, args.instance_file)
-    payload = {}
-    for entry in entries:
-        payload[entry["id"]] = _check_instance(entry, args.max_len)
-    passed = _all_bools_pass(payload)
-    _emit(payload, args.json, passed)
-    return 0 if passed else CHECK_FAILED
+def _precondition(fn, obj):
+    """Call a library function whose ValueError means that `obj` fails
+    the function's precondition."""
+    try:
+        return fn(obj)
+    except ValueError as exc:
+        raise PreconditionFailed(str(exc)) from exc
 
 
-def _cmd_construct(args):
-    if not args.instance:
-        raise UsageError("construct requires --instance")
-    entries = _resolve(args.instance, None)
-    payload = {}
-    for entry in entries:
-        obj = entry["build"]()
-        kind = entry["kind"]
-        if kind == "prelie":
-            out = {"product": tensor_triples(obj.xi),
-                   "induced_bracket":
-                       tensor_triples(induced_bracket(obj).bracket)}
-        elif kind == "cotangent_input":
-            out = {"product": tensor_triples(cotangent_prelie(obj).xi)}
-        elif kind == "rmatrix":
-            X = xi_from_rmatrix(obj)
-            out = {"product": tensor_triples(X.xi),
-                   "action_on_carrier":
-                       tensor_triples(xi_action_on_g(X).coefficients)}
-        elif kind == "bialgebra":
-            out = {"bracket": tensor_triples(obj.algebra.bracket),
-                   "cobracket": tensor_triples(obj.coalgebra.cobracket)}
-        else:
-            raise UsageError(
-                f"construct does not apply to kind {kind!r}")
-        payload[entry["id"]] = out
-    _emit(payload, args.json, True)
-    return 0
+def _construct_report(entry, args):
+    obj = entry["build"]()
+    kind = entry["kind"]
+    if kind == "prelie":
+        return {"product": tensor_triples(obj.xi),
+                "induced_bracket": tensor_triples(
+                    _precondition(induced_bracket, obj).bracket)}
+    if kind == "cotangent_input":
+        return {"product": tensor_triples(cotangent_prelie(obj).xi)}
+    if kind == "rmatrix":
+        X = xi_from_rmatrix(obj)
+        return {"product": tensor_triples(X.xi),
+                "action_on_carrier":
+                    tensor_triples(xi_action_on_g(X).coefficients)}
+    # bialgebra, the last kind construct accepts
+    return {"bracket": tensor_triples(obj.algebra.bracket),
+            "cobracket": tensor_triples(obj.coalgebra.cobracket)}
 
 
-def _lie_for_calculus(entry, obj):
+def _calculus_report(entry, args):
+    obj = entry["build"]()
     lie, _ = _prelie_context(entry, obj)
     if lie is None:
-        lie = induced_bracket(obj)
-    return lie
-
-
-def _cmd_calculus(args):
-    if not args.instance and not args.instance_file:
-        raise UsageError("calculus requires --instance or --instance-file")
-    entries = _resolve(args.instance, args.instance_file)
-    payload = {}
-    for entry in entries:
-        if entry["kind"] != "prelie":
-            raise UsageError(
-                f"{entry['id']}: calculus needs a pre-Lie instance")
-        obj = entry["build"]()
-        lie = _lie_for_calculus(entry, obj)
-        first = check_first_order(lie, obj, max_len=args.max_len)
-        try:
-            lam = Scalar(_parse_fraction(json.loads(args.lam)))
-        except (json.JSONDecodeError, SchemaError):
-            raise UsageError(f"bad --lambda value {args.lam!r}")
-        kernel = kernel_of_d(lie, obj, args.max_len, lam)
-        payload[entry["id"]] = {
-            "first_order": bool(first),
+        lie = _precondition(induced_bracket, obj)
+    first = check_first_order(lie, obj, max_len=args.max_len)
+    kernel = kernel_of_d(lie, obj, args.max_len, args.lam)
+    return {"first_order": bool(first),
             "kernel_dimension": kernel["dimension"],
-            "connected": kernel["dimension"] == 1,
-        }
-    passed = all(v["first_order"] and v["connected"]
-                 for v in payload.values())
-    _emit(payload, args.json, passed)
-    return 0 if passed else CHECK_FAILED
+            "connected": kernel["dimension"] == 1}
 
 
-def _cmd_groupdga(args):
+def _groupdga_report(entry, args):
+    rep = check_group_dga(entry["build"](), max_len=min(args.max_len, 3))
+    return {"passed": rep["passed"], "warnings": sorted(rep["warnings"])}
+
+
+def _curvature_report(entry, args):
+    M = entry["build"]()
+    R = _precondition(scalar_curvature_classical, M)
+    report = {"scalar_curvature": repr(_tidy_ratfunc(R))}
+    expected = _closed_form_curvature(M)
+    if expected is not None:
+        report["matches_closed_form"] = ratfunc_equal(R, expected)
+    return report
+
+
+def _instance_entries(name, args):
     if not args.instance and not args.instance_file:
-        raise UsageError("groupdga requires --instance or --instance-file")
-    entries = _resolve(args.instance, args.instance_file)
-    payload = {}
-    passed = True
-    for entry in entries:
-        if entry["kind"] != "group_dga":
-            raise UsageError(f"{entry['id']}: not a group DGA instance")
-        rep = check_group_dga(entry["build"](),
-                              max_len=min(args.max_len, 3))
-        payload[entry["id"]] = {
-            "passed": rep["passed"],
-            "warnings": sorted(rep["warnings"]),
-        }
-        passed = passed and rep["passed"]
-    _emit(payload, args.json, passed)
-    return 0 if passed else CHECK_FAILED
+        raise UsageError(f"{name} requires --instance or --instance-file")
+    return _resolve(args.instance, args.instance_file)
 
 
-def _metric_from_args(args):
-    if args.instance or args.instance_file:
-        entries = _resolve(args.instance, args.instance_file)
-        out = []
-        for entry in entries:
-            if entry["kind"] != "metric":
-                raise UsageError(f"{entry['id']}: not a metric instance")
-            out.append((entry["id"], entry["build"]()))
-        return out
+_METRIC_PARAMS = ("alpha", "beta", "c1", "c2", "c3")
+
+
+def _metric_entries(name, args):
+    """The instances, or else the one metric that --case and its
+    parameter flags describe, read as an instance-file payload."""
+    params = {key: getattr(args, key) for key in _METRIC_PARAMS
+              if getattr(args, key) is not None}
     if args.case is None:
-        raise UsageError("metric/curvature needs --case, --instance or "
+        if params:
+            raise UsageError(f"--{next(iter(params))} needs --case")
+        if not args.instance and not args.instance_file:
+            raise UsageError(f"{name} requires --case, --instance or "
+                             "--instance-file")
+        return _resolve(args.instance, args.instance_file)
+    if args.instance or args.instance_file:
+        raise UsageError("--case cannot be combined with --instance or "
                          "--instance-file")
-    kwargs = {}
+    payload = {"calculus": f"b{args.case}", "c": {}}
     try:
-        if args.alpha is not None:
-            kwargs["alpha"] = _parse_fraction(json.loads(args.alpha))
-        if args.beta is not None:
-            kwargs["beta"] = _parse_fraction(json.loads(args.beta))
-        for key in ("c1", "c2", "c3"):
-            v = getattr(args, key)
-            if v is not None:
-                kwargs[key] = Scalar(_parse_fraction(json.loads(v)))
+        for key, text in params.items():
+            target = payload if key in ("alpha", "beta") else payload["c"]
+            target[key] = json.loads(text)
+        M = _parse_metric(payload)
     except (json.JSONDecodeError, SchemaError) as exc:
         raise UsageError(f"bad metric parameter: {exc}")
-    try:
-        M = standard_metric(args.case, **kwargs)
-    except ValueError as exc:
-        raise UsageError(str(exc))
-    return [(f"case{args.case}", M)]
+    return [{"id": f"case{args.case}", "kind": "metric",
+             "build": lambda: M}]
 
 
-def _cmd_metric(args):
-    pairs = _metric_from_args(args)
-    payload = {}
-    for name, M in pairs:
-        payload[name] = check_metric(M)
-    passed = _all_bools_pass(payload)
-    _emit(payload, args.json, passed)
-    return 0 if passed else CHECK_FAILED
+_SU2_MODELS = [
+    {"id": "semiclassical", "kind": "su2",
+     "build": verify_su2_semiclassical},
+    {"id": "bicrossproduct_omega", "kind": "su2",
+     "build": verify_su2_bicrossproduct_omega},
+]
 
 
-def _cmd_curvature(args):
-    pairs = _metric_from_args(args)
-    payload = {}
-    passed = True
-    for name, M in pairs:
+class Command(NamedTuple):
+    flags: tuple                 # the flags it reads, besides --json
+    kinds: tuple | None          # the instance kinds it accepts (None: all)
+    report: Callable             # report(entry, args) -> dict
+    entries: Callable = _instance_entries   # entries(name, args) -> list
+
+
+_INSTANCE_FLAGS = ("--instance", "--instance-file")
+_METRIC_FLAGS = (*_INSTANCE_FLAGS, "--case", "--alpha", "--beta",
+                 "--c1", "--c2", "--c3")
+
+COMMANDS = {
+    "check": Command((*_INSTANCE_FLAGS, "--max-len"), None,
+                     lambda entry, args: _check_instance(entry,
+                                                         args.max_len)),
+    "construct": Command(_INSTANCE_FLAGS,
+                         ("prelie", "cotangent_input", "rmatrix",
+                          "bialgebra"), _construct_report),
+    "calculus": Command((*_INSTANCE_FLAGS, "--max-len", "--lambda"),
+                        ("prelie",), _calculus_report),
+    "groupdga": Command((*_INSTANCE_FLAGS, "--max-len"), ("group_dga",),
+                        _groupdga_report),
+    "metric": Command(_METRIC_FLAGS, ("metric",),
+                      lambda entry, args: check_metric(entry["build"]()),
+                      _metric_entries),
+    "curvature": Command(_METRIC_FLAGS, ("metric",), _curvature_report,
+                         _metric_entries),
+    "su2": Command((), None, lambda entry, args: entry["build"](),
+                   lambda name, args: _SU2_MODELS),
+    "catalog": Command((), None, lambda entry, args: {"kind": entry["kind"]},
+                       lambda name, args: load_catalog()),
+}
+
+
+def _run(name, args):
+    """Resolve the entries, reject a kind the command does not apply to,
+    read --lambda, report on each entry, emit; exit 0 or 1."""
+    command = COMMANDS[name]
+    entries = command.entries(name, args)
+    for entry in entries:
+        if command.kinds is not None and entry["kind"] not in command.kinds:
+            raise UsageError(f"{entry['id']}: {name} does not apply to "
+                             f"kind {entry['kind']!r}")
+    if "--lambda" in command.flags:
         try:
-            R = scalar_curvature_classical(M)
-        except ValueError as exc:
-            payload[name] = {"error": str(exc)}
-            passed = False
-            continue
-        entry = {"scalar_curvature": repr(_tidy_ratfunc(R))}
-        expected = _closed_form_curvature(M)
-        if expected is not None:
-            entry["matches_closed_form"] = ratfunc_equal(R, expected)
-            passed = passed and entry["matches_closed_form"]
-        payload[name] = entry
+            args.lam = Scalar(_parse_fraction(json.loads(args.lam)))
+        except (json.JSONDecodeError, SchemaError):
+            raise UsageError(f"bad --lambda value {args.lam!r}")
+    payload, failed = {}, False
+    for entry in entries:
+        try:
+            payload[entry["id"]] = command.report(entry, args)
+        except PreconditionFailed as exc:
+            payload[entry["id"]] = {"error": str(exc)}
+            failed = True
+    passed = not failed and _all_bools_pass(payload)
     _emit(payload, args.json, passed)
     return 0 if passed else CHECK_FAILED
 
 
-def _cmd_su2(args):
-    payload = {
-        "semiclassical": verify_su2_semiclassical(),
-        "bicrossproduct_omega": verify_su2_bicrossproduct_omega(),
-    }
-    passed = all(v["passed"] for v in payload.values())
-    _emit(payload, args.json, passed)
-    return 0 if passed else CHECK_FAILED
-
-
-def _cmd_catalog(args):
-    payload = {e["id"]: {"kind": e["kind"]} for e in load_catalog()}
-    _emit(payload, args.json, True)
-    return 0
-
-
-class UsageError(Exception):
-    pass
-
+# ---------------------------------------------------------------------------
+# argument parsing
 
 def _positive_int(text):
     """argparse type of --max-len: an integer of at least 1."""
@@ -497,17 +489,22 @@ def _positive_int(text):
     return value
 
 
-def _add_common(p):
-    p.add_argument("--instance", action="append", default=[],
-                   help="catalog instance id (repeatable)")
-    p.add_argument("--instance-file", action="append", default=[],
-                   help="JSON instance file (repeatable)")
-    p.add_argument("--max-len", type=_positive_int, default=3,
-                   help="word-length bound for exhaustive checks")
-    p.add_argument("--lambda", dest="lam", default="1",
-                   help="numeric deformation parameter (rational)")
-    p.add_argument("--json", action="store_true",
-                   help="emit a JSON report")
+_FLAG_OPTIONS = {
+    "--instance": dict(action="append", default=[],
+                       help="catalog instance id (repeatable)"),
+    "--instance-file": dict(action="append", default=[],
+                            help="JSON instance file (repeatable)"),
+    "--max-len": dict(type=_positive_int, default=3,
+                      help="word-length bound for exhaustive checks"),
+    "--lambda": dict(dest="lam", default="1",
+                     help="numeric deformation parameter (rational)"),
+    "--case": dict(type=int, help="metric case 1-5"),
+    "--alpha": dict(help="case 1 parameter (rational)"),
+    "--beta": dict(help="case 2 parameter (rational)"),
+    "--c1": dict(help="metric coefficient (rational)"),
+    "--c2": dict(help="metric coefficient (rational)"),
+    "--c3": dict(help="metric coefficient (rational)"),
+}
 
 
 def build_parser():
@@ -516,35 +513,23 @@ def build_parser():
         description="Exact checks for pre-Lie structures, their "
                     "enveloping-algebra calculi and quantum metrics.")
     sub = parser.add_subparsers(dest="command")
-    for name, fn in (("check", _cmd_check),
-                     ("construct", _cmd_construct),
-                     ("calculus", _cmd_calculus),
-                     ("groupdga", _cmd_groupdga),
-                     ("metric", _cmd_metric),
-                     ("curvature", _cmd_curvature),
-                     ("su2", _cmd_su2),
-                     ("catalog", _cmd_catalog)):
+    for name, command in COMMANDS.items():
         p = sub.add_parser(name)
-        _add_common(p)
-        if name in ("metric", "curvature"):
-            p.add_argument("--case", type=int, default=None)
-            p.add_argument("--alpha", default=None)
-            p.add_argument("--beta", default=None)
-            p.add_argument("--c1", default=None)
-            p.add_argument("--c2", default=None)
-            p.add_argument("--c3", default=None)
-        p.set_defaults(func=fn)
+        for flag in command.flags:
+            p.add_argument(flag, **_FLAG_OPTIONS[flag])
+        p.add_argument("--json", action="store_true",
+                       help="emit a JSON report")
     return parser
 
 
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if not getattr(args, "func", None):
+    if args.command is None:
         parser.print_usage(sys.stderr)
         return USAGE_ERROR
     try:
-        return args.func(args)
+        return _run(args.command, args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

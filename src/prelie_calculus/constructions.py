@@ -10,8 +10,15 @@ signed sum of tensor_contract terms, as in prelie and liebialg.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
-from .exact_core import Scalar, Tensor, ZERO, contract_sum, tensor_contract
+from .exact_core import (
+    Scalar,
+    Tensor,
+    accumulate,
+    contract_sum,
+    tensor_contract,
+)
 from .liebialg import (
     ActionTensor,
     LieAlgebra,
@@ -120,14 +127,13 @@ def semidirect_prelie(S: SemidirectInput) -> PreLieProduct:
         )
     nA, nB = S.A.dim, S.B.dim
     n = nB + nA
-    entries = {}
-    for (i, j, k), v in S.B.xi.entries.items():
-        entries[(i, j, k)] = v
-    for (a, j, k), v in S.action.coefficients.entries.items():
+    entries = accumulate(chain(
+        S.B.xi.entries.items(),
         # a |> y lands in the B block; actor sits in the A block
-        entries[(nB + a, j, k)] = entries.get((nB + a, j, k), ZERO) + v
-    for (i, j, k), v in S.A.xi.entries.items():
-        entries[(nB + i, nB + j, nB + k)] = v
+        (((nB + a, j, k), v)
+         for (a, j, k), v in S.action.coefficients.entries.items()),
+        (((nB + i, nB + j, nB + k), v)
+         for (i, j, k), v in S.A.xi.entries.items())))
     names = tuple(S.B.basis_names) + tuple(S.A.basis_names)
     out = PreLieProduct(n, names, Tensor((n, n, n), entries))
     rep2 = check_left_symmetry(out, with_witnesses=True)
@@ -300,33 +306,29 @@ def bisum_bialgebra(X: PreLieProduct, B: LieBialgebra) -> LieBialgebra:
     gidx = lambda i: n + i
     co = coadjoint_action(B).coefficients
 
-    entries = {}
+    def bracket_terms():
+        # [x, y]_g
+        for (i, j, k), v in B.algebra.bracket.entries.items():
+            yield (gidx(i), gidx(j), gidx(k)), v
+        # [x, psi] = ad*_x psi; [phi, y] = -ad*_y phi
+        for (i, j, k), v in co.entries.items():
+            yield (gidx(i), gstar(j), gstar(k)), v
+            yield (gstar(j), gidx(i), gstar(k)), -v
 
-    def put(d, i, j, k, v):
-        if not v.is_zero():
-            d[(i, j, k)] = d.get((i, j, k), ZERO) + v
+    def cobracket_terms():
+        # delta_g x
+        for (i, a, b), v in B.coalgebra.cobracket.entries.items():
+            yield (gidx(i), gidx(a), gidx(b)), v
+        # delta_{g*} phi (transpose of bracket)
+        for (i, j, k), v in B.algebra.bracket.entries.items():
+            yield (gstar(k), gstar(i), gstar(j)), v
+        # (id - tau) alpha(phi), alpha(f^q) = sum -Xi[i,q,k] e_i (x) f^k
+        for (i, q, k), v in X.xi.entries.items():
+            yield (gstar(q), gidx(i), gstar(k)), -v
+            yield (gstar(q), gstar(k), gidx(i)), v
 
-    # [x, y]_g
-    for (i, j, k), v in B.algebra.bracket.entries.items():
-        put(entries, gidx(i), gidx(j), gidx(k), v)
-    # [x, psi] = ad*_x psi; [phi, y] = -ad*_y phi
-    for (i, j, k), v in co.entries.items():
-        put(entries, gidx(i), gstar(j), gstar(k), v)
-        put(entries, gstar(j), gidx(i), gstar(k), -v)
-    bracket = Tensor((N, N, N), entries)
-
-    cob = {}
-    # delta_g x
-    for (i, a, b), v in B.coalgebra.cobracket.entries.items():
-        put(cob, gidx(i), gidx(a), gidx(b), v)
-    # delta_{g*} phi (transpose of bracket)
-    for (i, j, k), v in B.algebra.bracket.entries.items():
-        put(cob, gstar(k), gstar(i), gstar(j), v)
-    # (id - tau) alpha(phi), alpha(f^q) = sum -Xi[i,q,k] e_i (x) f^k
-    for (i, q, k), v in X.xi.entries.items():
-        put(cob, gstar(q), gidx(i), gstar(k), -v)
-        put(cob, gstar(q), gstar(k), gidx(i), v)
-    cobracket = Tensor((N, N, N), cob)
+    bracket = Tensor((N, N, N), accumulate(bracket_terms()))
+    cobracket = Tensor((N, N, N), accumulate(cobracket_terms()))
 
     names = tuple(f"{nm}^*" for nm in B.basis_names) + tuple(B.basis_names)
     out = LieBialgebra(
@@ -448,22 +450,17 @@ def cocycle_D(X: PreLieProduct, B: LieBialgebra, phi) -> Tensor:
     # ad*_{phi(1)} phi (x) phi(2), keyed (g* leg, g* leg)
     ad = tensor_contract("ik,ipo,p->ok", alpha, co, phi_t)
 
-    entries = {}
+    def terms():
+        # delta_{g*} phi: transpose of bracket, lands in g* (x) g*
+        yield from tensor_contract("ijk,k->ij", B.algebra.bracket,
+                                   phi_t).entries.items()
+        # (id - tau) alpha(phi), with legs in g (x) g*
+        for (i, k), v in alpha.entries.items():
+            yield (n + i, k), v
+            yield (k, n + i), -v
+        # -(1/2)(id - tau)(ad*_{phi(1)} phi (x) phi(2)), in g* (x) g*
+        for (o, k), v in ad.entries.items():
+            yield (o, k), -half * v
+            yield (k, o), half * v
 
-    def bump(i, j, v):
-        entries[(i, j)] = entries.get((i, j), ZERO) + v
-
-    # delta_{g*} phi: transpose of bracket, lands in g* (x) g*
-    for (i, j), v in tensor_contract("ijk,k->ij", B.algebra.bracket,
-                                     phi_t).entries.items():
-        bump(i, j, v)
-    # (id - tau) alpha(phi), with legs in g (x) g*
-    for (i, k), v in alpha.entries.items():
-        bump(n + i, k, v)
-        bump(k, n + i, -v)
-    # -(1/2)(id - tau)(ad*_{phi(1)} phi (x) phi(2)), in g* (x) g*
-    for (o, k), v in ad.entries.items():
-        bump(o, k, -half * v)
-        bump(k, o, half * v)
-
-    return Tensor((N, N), entries)
+    return Tensor((N, N), accumulate(terms()))

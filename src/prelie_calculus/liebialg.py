@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exact_core import ONE, Tensor, ZERO, contract_sum
+from .exact_core import ONE, Tensor, ZERO, accumulate, contract_sum
 
 __all__ = [
     "LieAlgebra",
@@ -341,45 +341,35 @@ def bicross_sum(P: MatchedPair, m_bialgebra: LieBialgebra,
 
     gstar = dualize(g_bialgebra)  # bracket [,]_{g*}, cobracket delta_{g*}
 
-    entries = {}
+    def bracket_terms():
+        # [phi, psi] = [phi, psi]_m
+        for (a, b, c), v in m.bracket.entries.items():
+            yield (mi(a), mi(b), mi(c)), v
+        # [f, h] = [f, h]_{g*}
+        for (i, j, k), v in gstar.algebra.bracket.entries.items():
+            yield (gi(i), gi(j), gi(k)), v
+        # [f^i, psi] = -(psi <| e_?) paired: f <| phi with <f<|phi,xi>=<f,phi|>xi>
+        # f^i <| psi_b  has k-component <f^i, psi_b |> e_k> = la[b,k,i]
+        for (b, k, i), v in P.left_action.coefficients.entries.items():
+            # [f^i, psi_b] = f^i <| psi_b ... enters bracket as +f<|psi for (phi,f),(psi,h)
+            yield (gi(i), mi(b), gi(k)), v
+            yield (mi(b), gi(i), gi(k)), -v
 
-    def put(i, j, k, v):
-        if not v.is_zero():
-            entries[(i, j, k)] = entries.get((i, j, k), ZERO) + v
+    def cobracket_terms():
+        # delta phi = delta_m phi + (id - tau) beta(phi)
+        for (a, b, c), v in m_bialgebra.coalgebra.cobracket.entries.items():
+            yield (mi(a), mi(b), mi(c)), v
+        # phi_a <| e_i = sum_b ra[i,a,b] phi_b
+        for (i, a, b), v in P.right_action.coefficients.entries.items():
+            # beta(phi_a) = sum_i f^i (x) (phi_a <| e_i)
+            yield (mi(a), gi(i), mi(b)), v
+            yield (mi(a), mi(b), gi(i)), -v
+        # delta f = delta_{g*} f
+        for (i, j, k), v in gstar.coalgebra.cobracket.entries.items():
+            yield (gi(i), gi(j), gi(k)), v
 
-    # [phi, psi] = [phi, psi]_m
-    for (a, b, c), v in m.bracket.entries.items():
-        put(mi(a), mi(b), mi(c), v)
-    # [f, h] = [f, h]_{g*}
-    for (i, j, k), v in gstar.algebra.bracket.entries.items():
-        put(gi(i), gi(j), gi(k), v)
-    # [f^i, psi] = -(psi <| e_?) paired: f <| phi with <f<|phi,xi>=<f,phi|>xi>
-    # f^i <| psi_b  has k-component <f^i, psi_b |> e_k> = la[b,k,i]
-    la = P.left_action.coefficients
-    for (b, k, i), v in la.entries.items():
-        # [f^i, psi_b] = f^i <| psi_b ... enters bracket as +f<|psi for (phi,f),(psi,h)
-        put(gi(i), mi(b), gi(k), v)
-        put(mi(b), gi(i), gi(k), -v)
-
-    bracket = Tensor((n, n, n), entries)
-
-    co_entries = {}
-
-    def putc(i, j, k, v):
-        if not v.is_zero():
-            co_entries[(i, j, k)] = co_entries.get((i, j, k), ZERO) + v
-
-    # delta phi = delta_m phi + (id - tau) beta(phi)
-    for (a, b, c), v in m_bialgebra.coalgebra.cobracket.entries.items():
-        putc(mi(a), mi(b), mi(c), v)
-    ra = P.right_action.coefficients  # phi_a <| e_i = sum_b ra[i,a,b] phi_b
-    for (i, a, b), v in ra.entries.items():
-        # beta(phi_a) = sum_i f^i (x) (phi_a <| e_i)
-        putc(mi(a), gi(i), mi(b), v)
-        putc(mi(a), mi(b), gi(i), -v)
-    # delta f = delta_{g*} f
-    for (i, j, k), v in gstar.coalgebra.cobracket.entries.items():
-        putc(gi(i), gi(j), gi(k), v)
+    bracket = Tensor((n, n, n), accumulate(bracket_terms()))
+    co_entries = accumulate(cobracket_terms())
 
     out = LieBialgebra(
         LieAlgebra(n, names, bracket),

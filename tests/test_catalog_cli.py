@@ -1,6 +1,14 @@
+import argparse
+import contextlib
+import io
 import json
+import tempfile
+from fractions import Fraction
+from itertools import product
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from prelie_calculus import cli
 from prelie_calculus.catalog import load_catalog
@@ -132,6 +140,9 @@ MALFORMED = [
     pytest.param(None, ("calculus", "--instance", "b4", "--max-len", "-1"),
                  2, id="max-len-below-1"),
     pytest.param(dict(_prelie_file(), id=["x"]), (), 3, id="id-not-a-string"),
+    pytest.param(_prelie_file(xi=[[0, 0, 1, 1, 1, 0, 1],
+                                  [0, 0, 1, 5, 1, 0, 1]]), (), 3,
+                 id="repeated-row"),
 ]
 
 
@@ -149,6 +160,296 @@ def test_malformed_numbers_exit_cleanly(capsys, tmp_path, document, argv,
     err = capsys.readouterr().err
     assert code == expected
     assert "Traceback" not in err and "error" in err
+
+
+# the flags each subcommand reads, besides -h
+SUBCOMMAND_FLAGS = {
+    "check": {"--instance", "--instance-file", "--max-len", "--json"},
+    "construct": {"--instance", "--instance-file", "--json"},
+    "calculus": {"--instance", "--instance-file", "--max-len", "--lambda",
+                 "--json"},
+    "groupdga": {"--instance", "--instance-file", "--max-len", "--json"},
+    "metric": {"--instance", "--instance-file", "--case", "--alpha",
+               "--beta", "--c1", "--c2", "--c3", "--json"},
+    "curvature": {"--instance", "--instance-file", "--case", "--alpha",
+                  "--beta", "--c1", "--c2", "--c3", "--json"},
+    "su2": {"--json"},
+    "catalog": {"--json"},
+}
+
+
+def test_each_subcommand_takes_only_the_flags_it_reads():
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    flags = {name: {opt for action in p._actions
+                    for opt in action.option_strings
+                    if opt not in ("-h", "--help")}
+             for name, p in sub.choices.items()}
+    assert flags == SUBCOMMAND_FLAGS
+    assert sum(map(len, flags.values())) == 36
+
+
+@pytest.mark.parametrize("argv", [
+    ("su2", "--max-len", "3"),
+    ("catalog", "--instance", "b4"),
+    ("check", "--lambda", "1"),
+    ("construct", "--max-len", "2"),
+    ("metric", "--max-len", "2"),
+])
+def test_flag_a_subcommand_does_not_read_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def _write(tmp_path, document):
+    path = tmp_path / f"{document['id']}.json"
+    path.write_text(json.dumps(document))
+    return str(path)
+
+
+# x o x = t, t o t = t: not left-symmetric
+NOT_LEFT_SYMMETRIC = [[0, 0, 1, 1, 1, 0, 1], [1, 1, 1, 1, 1, 0, 1]]
+
+
+class TestCommandPath:
+    def test_construct_reads_prelie_files(self, capsys, tmp_path):
+        path = _write(tmp_path, {"id": "mine", "kind": "prelie", "payload": {
+            "dim": 2, "xi": [[0, 0, 1, 1, 1, 0, 1], [1, 0, 0, -1, 1, 0, 1],
+                             [1, 1, 1, -2, 1, 0, 1]]}})
+        code, out, _ = run(capsys, "construct", "--instance-file", path,
+                           "--json")
+        assert code == 0
+        assert json.loads(out)["mine"] == json.loads(
+            run(capsys, "construct", "--instance", "b4", "--json")[1])["b4"]
+
+    @pytest.mark.parametrize("command, dim", [("construct", 2),
+                                              ("calculus", 3)])
+    def test_a_product_that_is_not_left_symmetric_is_an_error_entry(
+            self, capsys, tmp_path, command, dim):
+        path = _write(tmp_path, {"id": "bad", "kind": "prelie", "payload": {
+            "dim": dim, "xi": NOT_LEFT_SYMMETRIC}})
+        code, out, err = run(capsys, command, "--instance-file", path,
+                             "--json")
+        assert code == 1
+        assert json.loads(out) == {
+            "bad": {"error": "product is not left-symmetric"}}
+        assert err == ""
+
+    @pytest.mark.parametrize("document", [
+        {"id": "m", "kind": "metric", "payload": {"calculus": "b4"}},
+        {"id": "g", "kind": "group_dga", "payload": {
+            "cayley": [[0, 1], [1, 0]], "action": [[0, 1], [1, 0]],
+            "theta": [[1, 1], [0, 1]]}},
+    ])
+    def test_construct_rejects_other_kinds(self, capsys, tmp_path, document):
+        code, out, err = run(capsys, "construct", "--instance-file",
+                             _write(tmp_path, document))
+        assert code == 2
+        assert out == ""
+        assert "construct does not apply to kind" in err
+
+    @pytest.mark.parametrize("command", ["check", "calculus"])
+    def test_su2_id_of_another_dim_is_not_read_over_su2(self, capsys,
+                                                        tmp_path, command):
+        path = _write(tmp_path, {"id": "su2x", "kind": "prelie",
+                                 "payload": {"dim": 1, "xi": []}})
+        code, _, err = run(capsys, command, "--instance-file", path,
+                           "--max-len", "1")
+        assert (code, err) == (0, "")
+
+    def test_bad_lambda_is_rejected_before_any_work(self, capsys,
+                                                    monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the calculus ran before --lambda was read")
+        monkeypatch.setattr(cli, "check_first_order", no_work)
+        code, out, err = run(capsys, "calculus", "--instance", "b4",
+                             "--lambda", "zz")
+        assert code == 2
+        assert out == ""
+        assert err == "error: bad --lambda value 'zz'\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (("--case", "1", "--alpha", "1", "--instance", "metric-case4"),
+         "error: --case cannot be combined with --instance or "
+         "--instance-file\n"),
+        (("--alpha", "1", "--instance", "metric-case4"),
+         "error: --alpha needs --case\n"),
+        ((), "error: metric requires --case, --instance or "
+             "--instance-file\n"),
+    ])
+    def test_metric_flags_and_instances_do_not_mix(self, capsys, argv,
+                                                   message):
+        code, out, err = run(capsys, "metric", *argv)
+        assert (code, out, err) == (2, "", message)
+
+
+# -- fuzzing the parse boundary ------------------------------------------
+
+_NUMBERS = st.one_of(
+    st.integers(-2, 2), st.booleans(), st.none(), st.sampled_from(["1", ""]),
+    st.lists(st.integers(-2, 2), min_size=2, max_size=2),
+    st.lists(st.integers(-1, 1), min_size=4, max_size=4))
+_RATIONALS = st.integers(-2, 2) | st.tuples(st.integers(-2, 2),
+                                            st.integers(1, 2)).map(list)
+
+
+@st.composite
+def _prelie_documents(draw):
+    """(payload, defective): a valid dim 1-3 product, or one with a
+    single defect."""
+    dim = draw(st.integers(1, 3))
+    index = st.integers(0, dim - 1)
+    xi = draw(st.dictionaries(
+        st.tuples(index, index, index),
+        st.tuples(st.integers(-2, 2), st.sampled_from([1, 2]),
+                  st.sampled_from([0, 0, 1]), st.just(1)), max_size=5))
+    rows = [[*key, *c] for key, c in xi.items()]
+    free = next((key for key in product(range(dim), repeat=3)
+                 if key not in xi), (0, 0, 0))
+    defect = draw(st.sampled_from([None] * 6 + ["dim", "index", "zero",
+                                                "bool", "short", "repeat"]))
+    if defect == "dim":
+        dim = draw(st.sampled_from([0, -1, True, "2", None]))
+    elif defect == "index":
+        rows.append([*free[:2], dim, 1, 1, 0, 1])
+    elif defect == "zero":
+        rows.append([*free, 1, 0, 0, 1])
+    elif defect == "bool":
+        rows.append([*free, draw(st.booleans()), 1, 0, 1])
+    elif defect == "short":
+        rows.append(draw(st.lists(_NUMBERS, max_size=3)))
+    elif defect == "repeat":
+        rows += [[*free, 1, 1, 0, 1], [*free, 2, 1, 0, 1]]
+    return {"dim": dim, "xi": rows}, defect is not None
+
+
+def _metric_documents():
+    number = _RATIONALS | _RATIONALS | _NUMBERS
+    params = st.fixed_dictionaries({}, optional={
+        "alpha": number, "beta": number,
+        "c": st.fixed_dictionaries({}, optional={
+            key: number for key in ("c1", "c2", "c3")})})
+    return st.tuples(st.sampled_from(["b1", "b2", "b4", "b5"] * 2
+                                     + ["b3", "b9", 4]), params).map(
+        lambda cp: {"calculus": cp[0], **cp[1]})
+
+
+_GROUP_TABLES = st.one_of(st.just([[0, 1], [1, 0]]),
+                          st.lists(st.lists(_NUMBERS, max_size=2),
+                                   max_size=2))
+_GROUP_DGA_DOCUMENTS = st.fixed_dictionaries({
+    "cayley": _GROUP_TABLES, "action": _GROUP_TABLES,
+    "theta": st.lists(_NUMBERS, min_size=2, max_size=2)})
+
+# (kind, payload, defective); defective is None when not known
+_DOCUMENTS = st.one_of(
+    st.none(),
+    _prelie_documents().map(lambda doc: ("prelie", *doc)),
+    _prelie_documents().map(lambda doc: ("prelie", *doc)),
+    st.tuples(st.just("metric"), _metric_documents(), st.none()),
+    st.tuples(st.just("group_dga"), _GROUP_DGA_DOCUMENTS, st.none()),
+    st.tuples(st.sampled_from(["lie", 3]), st.just({}), st.just(True)))
+
+# valid values first, and more of them
+_FLAG_VALUES = {
+    "--instance": ["b4", "su2", "b4", "metric-case4", "groupdga-z2", "nope"],
+    "--max-len": ["1", "2", "1", "2", "0", "-1", "x"],
+    "--lambda": ["1", "[1,2]", "-1", "[1,0]", "zz", "true"],
+    "--case": ["1", "2", "4", "5", "3", "7", "x"],
+    "--alpha": ["-2", "[1,3]", "[1,0]", "true", "zz"],
+    "--beta": ["2", "0", "[1,0]", "1.5"],
+    "--c1": ["1", "0", "[1,2]", "[1,2,1,1]"],
+    "--c2": ["0", "1", "[2,0]"],
+    "--c3": ["1", "0", "true"],
+    "--json": [],
+}
+
+
+def _flags(names):
+    """(flag, value) draws; --json takes no value."""
+    return st.sampled_from(sorted(names)).flatmap(
+        lambda f: st.sampled_from(_FLAG_VALUES[f]).map(lambda v: (f, v))
+        if _FLAG_VALUES[f] else st.just((f,)))
+
+
+def _gaussian(re_n, re_d, im_n, im_d):
+    return Fraction(re_n, re_d), Fraction(im_n, im_d)
+
+
+def _left_symmetric(dim, rows):
+    """Dense reference: (x o y) o z - x o (y o z) is symmetric in x, y."""
+    xi = {tuple(r[:3]): _gaussian(*r[3:]) for r in rows}
+    zero = (Fraction(0), Fraction(0))
+
+    def mul(a, b):
+        return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+    def assoc(x, y, z, o):
+        re = im = Fraction(0)
+        for m in range(dim):
+            p = mul(xi.get((x, y, m), zero), xi.get((m, z, o), zero))
+            q = mul(xi.get((y, z, m), zero), xi.get((x, m, o), zero))
+            re, im = re + p[0] - q[0], im + p[1] - q[1]
+        return re, im
+
+    return all(assoc(x, y, z, o) == assoc(y, x, z, o)
+               for x, y, z, o in product(range(dim), repeat=4))
+
+
+def _known_to_fail(command, iid, kind, payload):
+    """True when the file certainly fails the command's verdict."""
+    if kind == "prelie" and command in ("check", "construct", "calculus"):
+        dim = payload["dim"]
+        if command == "calculus" and (
+                dim == 2 or dim == 3 and iid.startswith("su2")):
+            return False   # built over [x,t] = x or su2*, not x o y - y o x
+        return not _left_symmetric(dim, payload["xi"])
+    if kind == "metric" and command in ("check", "metric", "curvature"):
+        c = payload.get("c", {})
+        return all(c.get(key) == 0 for key in ("c1", "c2", "c3"))
+    return False
+
+
+# the pre-Lie commands come up more often: they carry the oracle
+_FUZZ_COMMANDS = ["check", "construct", "calculus"] * 2 + [
+    "groupdga", "metric", "curvature", "su2", "catalog"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), command=st.sampled_from(_FUZZ_COMMANDS),
+       iid=st.sampled_from(["fuzz", "su2-fuzz"]), document=_DOCUMENTS)
+def test_fuzz_parse_boundary(data, command, iid, document):
+    """Any instance file and any flags, also ones the subcommand does
+    not take, end in exit 0-3 without another exception; a defective
+    file is always rejected, and a file known to fail never passes."""
+    own = SUBCOMMAND_FLAGS[command] - {"--instance-file"}
+    flags = data.draw(st.lists(_flags(own) | _flags(own) | _flags(own)
+                               | _flags(_FLAG_VALUES), max_size=3))
+    argv = [command, *(part for flag in flags for part in flag)]
+    if "--max-len" in own and "--max-len" not in argv:
+        argv += ["--max-len", "2"]
+    with tempfile.TemporaryDirectory() as tmp:
+        if document is not None:
+            kind, payload, defective = document
+            path = Path(tmp) / "fuzz.json"
+            path.write_text(json.dumps({"id": iid, "kind": kind,
+                                        "payload": payload}))
+            argv += ["--instance-file", str(path)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:   # argparse rejects the flags
+                code = exc.code
+    assert code in (0, 1, 2, 3), (argv, code)
+    if document is not None and defective:
+        assert code in (2, 3), (argv, out.getvalue())
+    if document is not None and code == 0:
+        assert not _known_to_fail(command, iid, kind, payload), \
+            (argv, out.getvalue())
 
 
 class TestCLIReports:
