@@ -246,6 +246,7 @@ def load_catalog():
     def add(iid, kind, builder, **params):
         entries.append({"id": iid, "kind": kind, "build": builder,
                         "params": params})
+        return entries[-1]
 
     for alpha in (Fraction(-2), Fraction(0), Fraction(1), Fraction(3)):
         add(f"b1(alpha={alpha})", "prelie",
@@ -257,7 +258,8 @@ def load_catalog():
     add("b4", "prelie", lambda: b_family("b4"))
     add("b5", "prelie", lambda: b_family("b5"))
     add("su2", "bialgebra", su2_bialgebra)
-    add("su2-dual-prelie", "prelie", su2_dual_prelie)
+    # checked and quantised over su2*, the Lie algebra it was built for
+    add("su2-dual-prelie", "prelie", su2_dual_prelie)["lie"] = su2_dual_lie
     add("su2-coadjoint-pair", "matched_pair", su2_coadjoint_matched_pair)
     add("b-quasitriangular", "rmatrix", b_quasitriangular_rmatrix)
     add("cotangent-1", "cotangent_input", lambda: cotangent_family(1))

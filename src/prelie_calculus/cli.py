@@ -18,13 +18,13 @@ import sys
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .catalog import b_lie, load_catalog, su2_dual_lie
+from .catalog import b_lie, load_catalog
 from .constructions import (
     cotangent_prelie,
     check_cotangent_bicovariance,
     xi_action_on_g,
 )
-from .dga import check_first_order, kernel_of_d
+from .dga import check_first_order, kernel_of_d, leibniz_pairs
 from .exact_core import Scalar, Tensor, ratfunc_equal
 from .group_dga import GroupDGAData, build_group_dga, check_group_dga
 from .liebialg import (
@@ -56,6 +56,11 @@ from .prelie import (
 from .su2 import verify_su2_bicrossproduct_omega, verify_su2_semiclassical
 
 USAGE_ERROR, CHECK_FAILED, SCHEMA_ERROR = 2, 1, 3
+
+# `calculus` refuses a run that would check more Leibniz pairs than this;
+# 870 pairs (dim 2 at --max-len 10) take about 10 s on a 2-vCPU machine
+# under Python 3.11, and the time per pair grows with the word length
+MAX_LEIBNIZ_PAIRS = 1000
 
 
 class SchemaError(Exception):
@@ -216,8 +221,8 @@ def _resolve(ids, files):
 
 
 def _prelie_context(entry, obj):
-    """The Lie algebra (and bialgebra, when known) carried by a pre-Lie
-    catalog instance."""
+    """The Lie algebra (and bialgebra, when known) of a pre-Lie instance:
+    [x,t] = x in dim 2, else the one its catalog entry names, if any."""
     if obj.dim == 2:
         lie = b_lie()
         # bicovariance carrier: abelian algebra with cobracket dual to
@@ -227,9 +232,8 @@ def _prelie_context(entry, obj):
             LieAlgebra(2, lie.basis_names, Tensor((2, 2, 2), {})),
             LieCoalgebra(2, lie.basis_names, Tensor((2, 2, 2), cob)))
         return lie, bialg
-    if obj.dim == 3 and entry["id"].startswith("su2"):
-        return su2_dual_lie(), None
-    return None, None
+    lie = entry.get("lie")
+    return (lie() if lie else None), None
 
 
 def _check_instance(entry, max_len):
@@ -355,6 +359,16 @@ def _calculus_report(entry, args):
             "connected": kernel["dimension"] == 1}
 
 
+def _calculus_bound(entries, args):
+    for entry in entries:
+        pairs = leibniz_pairs(entry["build"]().dim, args.max_len)
+        if pairs > MAX_LEIBNIZ_PAIRS:
+            raise UsageError(
+                f"{entry['id']}: calculus at --max-len {args.max_len} would "
+                f"check {pairs} Leibniz pairs, over the limit of "
+                f"{MAX_LEIBNIZ_PAIRS}")
+
+
 def _groupdga_report(entry, args):
     rep = check_group_dga(entry["build"](), max_len=min(args.max_len, 3))
     return {"passed": rep["passed"], "warnings": sorted(rep["warnings"])}
@@ -419,6 +433,7 @@ class Command(NamedTuple):
     kinds: tuple | None          # the instance kinds it accepts (None: all)
     report: Callable             # report(entry, args) -> dict
     entries: Callable = _instance_entries   # entries(name, args) -> list
+    bound: Callable = None       # bound(entries, args) refuses too much work
 
 
 _INSTANCE_FLAGS = ("--instance", "--instance-file")
@@ -433,7 +448,8 @@ COMMANDS = {
                          ("prelie", "cotangent_input", "rmatrix",
                           "bialgebra"), _construct_report),
     "calculus": Command((*_INSTANCE_FLAGS, "--max-len", "--lambda"),
-                        ("prelie",), _calculus_report),
+                        ("prelie",), _calculus_report,
+                        bound=_calculus_bound),
     "groupdga": Command((*_INSTANCE_FLAGS, "--max-len"), ("group_dga",),
                         _groupdga_report),
     "metric": Command(_METRIC_FLAGS, ("metric",),
@@ -450,7 +466,8 @@ COMMANDS = {
 
 def _run(name, args):
     """Resolve the entries, reject a kind the command does not apply to,
-    read --lambda, report on each entry, emit; exit 0 or 1."""
+    read --lambda, refuse too much work, report on each entry, emit;
+    exit 0 or 1."""
     command = COMMANDS[name]
     entries = command.entries(name, args)
     for entry in entries:
@@ -462,6 +479,8 @@ def _run(name, args):
             args.lam = Scalar(_parse_fraction(json.loads(args.lam)))
         except (json.JSONDecodeError, SchemaError):
             raise UsageError(f"bad --lambda value {args.lam!r}")
+    if command.bound is not None:
+        command.bound(entries, args)
     payload, failed = {}, False
     for entry in entries:
         try:

@@ -14,12 +14,15 @@ graded algebra with the classical Grassmann wedge on the de_i.
 
 from __future__ import annotations
 
-from itertools import combinations, combinations_with_replacement
 from fractions import Fraction
+from itertools import chain, combinations_with_replacement, product
+from math import comb, prod
 
 from .exact_core import (
     LAMBDA,
     L_ONE,
+    LambdaScalar,
+    ONE,
     Scalar,
     TermMap,
     ZERO,
@@ -40,6 +43,7 @@ __all__ = [
     "form_mul",
     "exterior_d",
     "check_first_order",
+    "leibniz_pairs",
     "kernel_of_d",
 ]
 
@@ -158,6 +162,135 @@ class FormElement(TermMap):
         return sorted({len(f) for (_, f) in self.terms})
 
 
+def _times(a, b):
+    """a * b, skipping a factor that is the L_ONE object: the unit
+    coefficient that _rewrite_word and accumulate pass on unchanged, and
+    the most common factor in d and form_mul."""
+    return b if a is L_ONE else a if b is L_ONE else a * b
+
+
+class _Calculus:
+    """Memo tables for the calculus of one pre-Lie product and, for
+    products, its Lie algebra m: omega and d of each PBW word, the normal
+    form of each word and forms moved past each word.  Each public call
+    builds its own instance, so no table outlives the call."""
+
+    def __init__(self, prelie: PreLieProduct, m: LieAlgebra = None):
+        self.prelie = prelie
+        self.m = m
+        self._omega = {}
+        self._d = {}
+        self._normal = {}
+        self._past = {}
+
+    def omega(self, word):
+        """omega_word of a nonempty word, from omega(w x) = -x o omega(w)."""
+        v = self._omega.get(word)
+        if v is None:
+            n, x = self.prelie.dim, word[-1]
+            v = basis_vec(n, x) if len(word) == 1 else [
+                -c for c in self.prelie.product(basis_vec(n, x),
+                                                self.omega(word[:-1]))]
+            self._omega[word] = v
+        return v
+
+    def d_word(self, word):
+        """Terms of d of a PBW word (see differential_d).
+
+        On a sorted word the prefix and the suffix depend only on how
+        many copies c_a of each letter a go to the suffix, so the 2^n
+        position subsets fall into prod(m_a + 1) groups of
+        prod C(m_a, c_a) equal ones.  The groups run by suffix length,
+        then by descending count vector: the order of their first
+        subsets among the subsets of positions."""
+        terms = self._d.get(word)
+        if terms is not None:
+            return terms
+        letters = sorted(set(word))
+        counts = [word.count(a) for a in letters]
+        groups = sorted(product(*(range(m, -1, -1) for m in counts)),
+                        key=sum)
+        terms = self._d[word] = {}
+        for chosen in groups[1:]:
+            suffix = tuple(a for a, c in zip(letters, chosen)
+                           for _ in range(c))
+            prefix = tuple(a for a, m, c in zip(letters, counts, chosen)
+                           for _ in range(m - c))
+            weight = prod(comb(m, c) for m, c in zip(counts, chosen))
+            lead = (ZERO,) * (len(suffix) - 1)
+            for k, comp in enumerate(self.omega(suffix)):
+                if not comp.is_zero():
+                    terms[(prefix, (k,))] = LambdaScalar(
+                        lead + (comp * weight,))
+        return terms
+
+    def d(self, terms):
+        """Terms of d of the element of U_lambda(m) with these terms."""
+        return accumulate((key, _times(q, c))
+                          for word, c in terms.items()
+                          for key, q in self.d_word(word).items())
+
+    def normal(self, word):
+        """Terms of the PBW normal form of a word."""
+        terms = self._normal.get(word)
+        if terms is None:
+            terms = self._normal[word] = accumulate(
+                _rewrite_word(word, L_ONE, self.m.bracket))
+        return terms
+
+    def past(self, forms, word):
+        """Rewrite forms . word as a sum of word' . forms' terms.
+
+        Uses de_j . e_i = e_i . de_j - lambda Xi[i,j,k] de_k; the output
+        words are in original letter order (not normalized).
+        """
+        key = (forms, word)
+        out = self._past.get(key)
+        if out is not None:
+            return out
+        if not word:
+            out = {((), forms): L_ONE}
+        else:
+            prelie = self.prelie
+            i, rest = word[0], word[1:]
+            pieces = [((i,), forms, L_ONE)]
+            for s, j in enumerate(forms):
+                for k in range(prelie.dim):
+                    cs = prelie.xi.get(i, j, k)
+                    if cs.is_zero():
+                        continue
+                    sf = _sorted_forms(forms[:s] + (k,) + forms[s + 1:])
+                    if sf is None:
+                        continue
+                    sign, nf = sf
+                    pieces.append(((), nf, LAMBDA * (-(cs * sign))))
+            out = accumulate(
+                ((pre + w2, f3), _times(co, co2))
+                for pre, f2, co in pieces
+                for (w2, f3), co2 in self.past(f2, rest).items())
+        self._past[key] = out
+        return out
+
+    def form_mul(self, a, b):
+        """Terms of the product of the forms with terms a and b."""
+        def pieces():
+            for (u, eta), ca in a.items():
+                for (v, xi), cb in b.items():
+                    cab = _times(ca, cb)
+                    for (w, eta2), cc in self.past(eta, v).items():
+                        sf = _sorted_forms(eta2 + xi)
+                        if sf is None:
+                            continue
+                        sign, wedge = sf
+                        coeff = _times(cab, cc)
+                        if sign != ONE:
+                            coeff = -coeff
+                        for pw, pc in self.normal(u + w).items():
+                            yield (pw, wedge), _times(pc, coeff)
+
+        return accumulate(pieces())
+
+
 def differential_d(e: NCElement, prelie: PreLieProduct) -> FormElement:
     """d on U_lambda(m): for a PBW word x_1...x_n,
 
@@ -166,54 +299,13 @@ def differential_d(e: NCElement, prelie: PreLieProduct) -> FormElement:
           lambda^(len(suffix)-1) prefix (x) omega(suffix)
 
     so that d(x) = dx and the lambda powers make d agree with the
-    bimodule relation [x, dy] = lambda d(x o y).
+    bimodule relation [x, dy] = lambda d(x o y).  Splittings that take
+    as many copies of each letter into the suffix are summed at once,
+    so a word costs prod(multiplicity + 1) over its letters, not 2^n.
     """
     if e.dim != prelie.dim:
         raise ValueError("dimension mismatch")
-
-    def pieces():
-        for word, c in e.terms.items():
-            n = len(word)
-            cl = c
-            for s in range(1, n + 1):
-                for suffix_pos in combinations(range(n), s):
-                    chosen = set(suffix_pos)
-                    prefix = tuple(word[i] for i in range(n)
-                                   if i not in chosen)
-                    suffix = tuple(word[i] for i in suffix_pos)
-                    ov = omega_word(suffix, prelie)
-                    for k, comp in enumerate(ov):
-                        if not comp.is_zero():
-                            yield (prefix, (k,)), cl * comp
-                cl = cl * LAMBDA
-
-    return FormElement._nonzero(accumulate(pieces()), e.dim)
-
-
-def _forms_past_word(forms, word, prelie):
-    """Rewrite forms . word as sum of word' . forms' terms.
-
-    Uses de_j . e_i = e_i . de_j - lambda Xi[i,j,k] de_k; the output
-    words are in original letter order (not normalized).
-    """
-    if not word:
-        return {((), tuple(forms)): L_ONE}
-    i, rest = word[0], word[1:]
-    pieces = [((i,), tuple(forms), L_ONE)]
-    for s, j in enumerate(forms):
-        for k in range(prelie.dim):
-            cs = prelie.xi.get(i, j, k)
-            if cs.is_zero():
-                continue
-            sf = _sorted_forms(forms[:s] + (k,) + forms[s + 1:])
-            if sf is None:
-                continue
-            sign, nf = sf
-            pieces.append(((), nf, LAMBDA * (-(cs * sign))))
-    return accumulate(
-        ((pre + w2, f3), co * co2)
-        for pre, f2, co in pieces
-        for (w2, f3), co2 in _forms_past_word(f2, rest, prelie).items())
+    return FormElement._nonzero(_Calculus(prelie).d(e.terms), e.dim)
 
 
 def form_mul(a: FormElement, b: FormElement, m: LieAlgebra,
@@ -221,37 +313,23 @@ def form_mul(a: FormElement, b: FormElement, m: LieAlgebra,
     """Product in the differential graded algebra U_lambda(m) |x Lambda."""
     if a.dim != b.dim or a.dim != m.dim or a.dim != prelie.dim:
         raise ValueError("dimension mismatch")
-
-    def pieces():
-        for (u, eta), ca in a.terms.items():
-            for (v, xi), cb in b.terms.items():
-                for (w, eta2), cc in _forms_past_word(eta, v,
-                                                      prelie).items():
-                    sf = _sorted_forms(eta2 + xi)
-                    if sf is None:
-                        continue
-                    sign, wedge = sf
-                    for pw, pc in _rewrite_word(u + w, ca * cb * cc * sign,
-                                                m.bracket):
-                        yield (pw, wedge), pc
-
-    return FormElement._nonzero(accumulate(pieces()), a.dim)
+    return FormElement._nonzero(
+        _Calculus(prelie, m).form_mul(a.terms, b.terms), a.dim)
 
 
 def exterior_d(e: FormElement, prelie: PreLieProduct) -> FormElement:
     """d extended as a graded super-derivation with d(de_i) = 0."""
     if e.dim != prelie.dim:
         raise ValueError("dimension mismatch")
+    calc = _Calculus(prelie)
 
     def pieces():
         for (word, forms), c in e.terms.items():
-            dword = differential_d(NCElement._nonzero({word: c}, e.dim),
-                                   prelie)
-            for (w, (k,)), cc in dword.terms.items():
+            for (w, (k,)), q in calc.d_word(word).items():
                 sf = _sorted_forms((k,) + forms)
                 if sf is not None:
                     sign, wedge = sf
-                    yield (w, wedge), cc * sign
+                    yield (w, wedge), q * c * sign
 
     return FormElement._nonzero(accumulate(pieces()), e.dim)
 
@@ -276,17 +354,16 @@ def check_first_order(m: LieAlgebra, prelie: PreLieProduct, max_len=4,
     if prelie.dim != n:
         raise ValueError("dimension mismatch")
     witnesses = {"leibniz": [], "bracket": [], "bimodule": []}
+    calc = _Calculus(prelie, m)
 
     for u in _pbw_words(n, max_len - 1, min_len=1):
+        du, fu = calc.d_word(u), {(u, ()): L_ONE}
         for v in _pbw_words(n, max_len - len(u), min_len=1):
-            eu = NCElement(n, {u: L_ONE})
-            ev = NCElement(n, {v: L_ONE})
-            lhs = differential_d(nc_mul(eu, ev, m), prelie)
-            rhs = form_mul(differential_d(eu, prelie),
-                           FormElement.from_nc(ev), m, prelie) \
-                + form_mul(FormElement.from_nc(eu),
-                           differential_d(ev, prelie), m, prelie)
-            if not (lhs - rhs).is_zero():
+            lhs = calc.d(calc.normal(u + v))
+            rhs = accumulate(chain(
+                calc.form_mul(du, {(v, ()): L_ONE}).items(),
+                calc.form_mul(fu, calc.d_word(v)).items()))
+            if lhs != rhs:
                 witnesses["leibniz"].append((u, v))
 
     for x in range(n):
@@ -297,22 +374,31 @@ def check_first_order(m: LieAlgebra, prelie: PreLieProduct, max_len=4,
             lie = NCElement(n, {
                 (k,): LAMBDA * m.bracket.get(x, y, k) for k in range(n)
             })
-            if not differential_d(comm - lie, prelie).is_zero():
+            if calc.d((comm - lie).terms):
                 witnesses["bracket"].append((x, y))
             # [x, dy] - lambda d(x o y)
-            fx = FormElement.from_nc(ex)
-            dy = FormElement.d_generator(n, y)
-            commf = form_mul(fx, dy, m, prelie) - form_mul(dy, fx, m, prelie)
+            fx = {((x,), ()): L_ONE}
+            dy = {((), (y,)): L_ONE}
+            commf = accumulate(chain(
+                calc.form_mul(fx, dy).items(),
+                ((key, -q) for key, q in calc.form_mul(dy, fx).items())))
             dxy = FormElement(n, {
                 ((), (k,)): LAMBDA * prelie.xi.get(x, y, k) for k in range(n)
             })
-            if not (commf - dxy).is_zero():
+            if commf != dxy.terms:
                 witnesses["bimodule"].append((x, y))
 
     ok = not any(witnesses.values())
     if with_witnesses:
         return {"first_order": ok, "witnesses": witnesses}
     return ok
+
+
+def leibniz_pairs(dim, max_len):
+    """Number of pairs (u, v) that check_first_order checks for Leibniz:
+    the coefficient sum of (1/(1-x)^dim - 1)^2 up to x^max_len."""
+    return comb(2 * dim + max_len, max_len) \
+        - 2 * comb(dim + max_len, max_len) + 1
 
 
 def kernel_of_d(m: LieAlgebra, prelie: PreLieProduct, n: int,
@@ -327,10 +413,10 @@ def kernel_of_d(m: LieAlgebra, prelie: PreLieProduct, n: int,
     dim = m.dim
     words = list(_pbw_words(dim, n))
     col = {w: i for i, w in enumerate(words)}
+    calc = _Calculus(prelie)
     rows = {}
     for w in words:
-        df = differential_d(NCElement(dim, {w: L_ONE}), prelie)
-        for (pw, forms), c in df.terms.items():
+        for (pw, forms), c in calc.d_word(w).items():
             val = c.evaluate(lam)
             if val.is_zero():
                 continue

@@ -139,6 +139,8 @@ MALFORMED = [
                  id="json-true-as-number"),
     pytest.param(None, ("calculus", "--instance", "b4", "--max-len", "-1"),
                  2, id="max-len-below-1"),
+    pytest.param(None, ("calculus", "--instance", "b4", "--max-len", "40"),
+                 2, id="max-len-over-work-limit"),
     pytest.param(dict(_prelie_file(), id=["x"]), (), 3, id="id-not-a-string"),
     pytest.param(_prelie_file(xi=[[0, 0, 1, 1, 1, 0, 1],
                                   [0, 0, 1, 5, 1, 0, 1]]), (), 3,
@@ -259,6 +261,32 @@ class TestCommandPath:
         code, _, err = run(capsys, command, "--instance-file", path,
                            "--max-len", "1")
         assert (code, err) == (0, "")
+
+    @pytest.mark.parametrize("command", ["check", "calculus"])
+    def test_a_file_is_read_the_same_under_any_id(self, capsys, tmp_path,
+                                                  command):
+        # x o x = x in dim 3: left-symmetric, not compatible with su2*
+        reports = []
+        for iid in ("mine", "su2-mine"):
+            path = _write(tmp_path, {"id": iid, "kind": "prelie", "payload": {
+                "dim": 3, "xi": [[0, 0, 0, 1, 1, 0, 1]]}})
+            code, out, err = run(capsys, command, "--instance-file", path,
+                                 "--json")
+            reports.append((code, json.loads(out)[iid], err))
+        assert reports[0] == reports[1]
+        assert reports[0][0] == 0
+
+    def test_too_much_work_is_refused_before_any_check(self, capsys,
+                                                       monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a check ran before the work was bounded")
+        monkeypatch.setattr(cli, "check_first_order", no_work)
+        code, out, err = run(capsys, "calculus", "--instance", "b4",
+                             "--instance", "su2-dual-prelie", "--max-len", "7")
+        assert (code, out) == (2, "")
+        assert err == ("error: su2-dual-prelie: calculus at --max-len 7 "
+                       "would check 1477 Leibniz pairs, over the limit of "
+                       f"{cli.MAX_LEIBNIZ_PAIRS}\n")
 
     def test_bad_lambda_is_rejected_before_any_work(self, capsys,
                                                     monkeypatch):
@@ -403,9 +431,8 @@ def _known_to_fail(command, iid, kind, payload):
     """True when the file certainly fails the command's verdict."""
     if kind == "prelie" and command in ("check", "construct", "calculus"):
         dim = payload["dim"]
-        if command == "calculus" and (
-                dim == 2 or dim == 3 and iid.startswith("su2")):
-            return False   # built over [x,t] = x or su2*, not x o y - y o x
+        if command == "calculus" and dim == 2:
+            return False   # built over [x,t] = x, not x o y - y o x
         return not _left_symmetric(dim, payload["xi"])
     if kind == "metric" and command in ("check", "metric", "curvature"):
         c = payload.get("c", {})
