@@ -11,6 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
+from math import lcm
 from operator import itemgetter
 
 __all__ = [
@@ -142,9 +143,6 @@ class Scalar:
         if self.re == 0:
             return f"{self.im}*i"
         return f"({self.re}{'+' if self.im > 0 else ''}{self.im}*i)"
-
-    def sort_key(self):
-        return (self.re, self.im)
 
 
 ZERO = Scalar(0)
@@ -327,9 +325,6 @@ class Tensor:
     def __sub__(self, other):
         return self + other.scale(Scalar(-1))
 
-    def __neg__(self):
-        return self.scale(Scalar(-1))
-
     def scale(self, s):
         s = _as_scalar(s)
         return Tensor(self.shape, {i: v * s for i, v in self.entries.items()})
@@ -350,14 +345,15 @@ class Tensor:
         return f"Tensor(shape={self.shape}, nnz={len(self.entries)})"
 
     @classmethod
-    def _nonzero(cls, shape, entries):
-        """Tensor over entries already keyed inside shape, dropping the
-        zero values without revalidating the keys."""
+    def _gaussian_over(cls, shape, den, entries):
+        """Tensor of the nonzero entries (re + im*i) / den of a dict of
+        Gaussian integer pairs already keyed inside shape, without
+        revalidating the keys."""
         t = object.__new__(cls)
         object.__setattr__(t, "shape", shape)
         object.__setattr__(t, "entries",
-                           {k: v for k, v in entries.items()
-                            if not v.is_zero()})
+                           {k: Scalar(Fraction(re, den), Fraction(im, den))
+                            for k, (re, im) in entries.items() if re or im})
         return t
 
     @staticmethod
@@ -421,40 +417,63 @@ def _plan(spec, shapes):
     return tuple(dims[c] for c in out), joins, final
 
 
-def _contract(spec, operands):
-    """Output shape and a fresh dict from output keys to Scalars, zeros
-    included."""
+def _gaussian(t, memo):
+    """t as (den, {key: (re, im)}) with integer re, im and den the lcm
+    of every denominator in t, so that t = entries / den.  memo maps
+    id(t) to (t, den, entries) for the length of one call; it holds t,
+    so the id cannot be reused meanwhile."""
+    hit = memo.get(id(t))
+    if hit is not None:
+        return hit[1], hit[2]
+    vals = t.entries.values()
+    den = lcm(*{v.re.denominator for v in vals},
+              *{v.im.denominator for v in vals})
+    entries = {k: (v.re.numerator * (den // v.re.denominator),
+                   v.im.numerator * (den // v.im.denominator))
+               for k, v in t.entries.items()}
+    memo[id(t)] = (t, den, entries)
+    return den, entries
+
+
+def _contract(spec, operands, memo):
+    """Output shape, denominator and a dict from output keys to Gaussian
+    integer pairs (re, im), zeros included: the contraction is the dict
+    divided by the denominator.  The dict may be the memo's own."""
     shape, joins, final = _plan(spec, tuple(t.shape for t in operands))
-    cur = operands[0].entries
+    den, cur = _gaussian(operands[0], memo)
     for (key_r, rest_r, key_l, left_l), t in zip(joins, operands[1:]):
+        den_r, right = _gaussian(t, memo)
+        den *= den_r
         buckets = {}
-        for key, v in t.entries.items():
-            buckets.setdefault(key_r(key), []).append((rest_r(key), v))
+        for key, (c, d) in right.items():
+            buckets.setdefault(key_r(key), []).append((rest_r(key), c, d))
         acc = {}
         get = acc.get
-        for key, v in cur.items():
+        for key, (a, b) in cur.items():
             hits = buckets.get(key_l(key))
             if hits is None:
                 continue
             left = left_l(key)
-            for rest, w in hits:
+            for rest, c, d in hits:
                 k = left + rest
-                p = v * w
                 old = get(k)
-                acc[k] = p if old is None else old + p
+                if old is None:
+                    acc[k] = (a * c - b * d, a * d + b * c)
+                else:
+                    acc[k] = (old[0] + a * c - b * d, old[1] + a * d + b * c)
         cur = acc
     if final is None:
-        return shape, (cur if joins else dict(cur))
+        return shape, den, cur
     proj, is_reorder = final
     if is_reorder:
-        return shape, {proj(key): v for key, v in cur.items()}
+        return shape, den, {proj(key): v for key, v in cur.items()}
     acc = {}
     get = acc.get
-    for key, v in cur.items():
+    for key, (a, b) in cur.items():
         k = proj(key)
         old = get(k)
-        acc[k] = v if old is None else old + v
-    return shape, acc
+        acc[k] = (a, b) if old is None else (old[0] + a, old[1] + b)
+    return shape, den, acc
 
 
 def tensor_contract(spec, *operands) -> Tensor:
@@ -463,39 +482,52 @@ def tensor_contract(spec, *operands) -> Tensor:
 
     Each operand gets one label per axis; labels absent from the output
     are summed over, and a single operand with a permuted output is a
-    pure axis reorder.  Only nonzero entries are ever visited.
+    pure axis reorder.  Only nonzero entries are ever visited.  The
+    arithmetic is exact over the Gaussian integers: each operand's
+    denominators are cleared once, and Fractions are built only for the
+    nonzero output entries.
     """
-    return Tensor._nonzero(*_contract(spec, operands))
+    shape, den, part = _contract(spec, operands, {})
+    return Tensor._gaussian_over(shape, den, part)
 
 
 def contract_sum(terms) -> Tensor:
     """Signed sum of contractions: terms are (sign, spec, *operands)
     with sign +1 or -1, all with the same output shape.  The result
     holds exactly the nonzero entries, so a checker reads its witnesses
-    off the leading indices of its keys."""
-    acc = shape = None
+    off the leading indices of its keys.
+
+    Each operand's denominators are cleared once per call, however many
+    terms it appears in; every term is contracted over the Gaussian
+    integers and rescaled to one common denominator, the lcm of the
+    terms' denominators, and Fractions are built only for the nonzero
+    sums.
+    """
+    memo = {}
+    parts = []
     for sign, spec, *operands in terms:
         if sign not in (1, -1):
             raise ValueError(f"sign must be +1 or -1, got {sign!r}")
-        term_shape, part = _contract(spec, operands)
-        if acc is None:
-            acc, shape = part, term_shape
-            if sign < 0:
-                acc = {k: -v for k, v in acc.items()}
-            continue
-        if term_shape != shape:
+        term_shape, den, part = _contract(spec, operands, memo)
+        if parts and term_shape != shape:
             raise ValueError(f"term {spec!r} has shape {term_shape}, "
                              f"expected {shape}")
-        get = acc.get
-        for k, v in part.items():
+        shape = term_shape
+        parts.append((sign, den, part))
+    if not parts:
+        raise ValueError("contract_sum needs at least one term")
+    common = lcm(*(den for _, den, _ in parts))
+    acc = {}
+    get = acc.get
+    for sign, den, part in parts:
+        s = sign * (common // den)
+        for k, (a, b) in part.items():
             old = get(k)
             if old is None:
-                acc[k] = v if sign > 0 else -v
+                acc[k] = (s * a, s * b)
             else:
-                acc[k] = old + v if sign > 0 else old - v
-    if acc is None:
-        raise ValueError("contract_sum needs at least one term")
-    return Tensor._nonzero(shape, acc)
+                acc[k] = (old[0] + s * a, old[1] + s * b)
+    return Tensor._gaussian_over(shape, common, acc)
 
 
 def linear_kernel(m):

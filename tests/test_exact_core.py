@@ -96,7 +96,11 @@ def dense_einsum(spec, *operands):
     return Tensor(tuple(dims[c] for c in out), entries)
 
 
-small_scalars = st.builds(Scalar, st.integers(-3, 3), st.integers(-1, 1))
+small_denominators = st.sampled_from((1, 2, 3, 5, 7))
+small_scalars = st.builds(
+    Scalar,
+    st.builds(Fraction, st.integers(-3, 3), small_denominators),
+    st.builds(Fraction, st.integers(-1, 1), small_denominators))
 dims = st.integers(1, 3)
 
 
@@ -194,6 +198,25 @@ class TestTensorContract:
         for (_, spec, *ops), want in zip(terms, dense):
             assert tensor_contract(spec, *ops) == want
         assert contract_sum(terms) == dense[0] - dense[1] + dense[2]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data(), dims, dims, dims,
+           st.sampled_from((2, 3, 5, 7, Fraction(1, 3), Fraction(2, 5))))
+    def test_cancelling_terms_over_different_denominators(self, data, a, b,
+                                                         c, q):
+        """The first two terms cancel exactly although their operands,
+        and so their common denominators, differ by the factor q; the
+        third survives.  A kernel that adds the terms' integer sums
+        without rescaling them to one denominator gets this wrong."""
+        t = data.draw(sparse_tensors((a, b)))
+        u = data.draw(sparse_tensors((b, c)))
+        tq, uq = t.scale(Scalar(q)), u.scale(Scalar(1 / Fraction(q)))
+        terms = [(1, "ij,jk->ik", t, u), (-1, "ij,jk->ik", tq, uq),
+                 (1, "ij,jk->ik", tq, u)]
+        dense = [dense_einsum(spec, *ops) for _, spec, *ops in terms]
+        assert dense[0] == dense[1]
+        assert contract_sum(terms) == dense[0] - dense[1] + dense[2]
+        assert contract_sum(terms[:2]).is_zero()
 
 
 class TestLinearKernel:

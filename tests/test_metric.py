@@ -361,6 +361,46 @@ class TestCurvature:
                              gp({(2, 0): Scalar(c1)}))
             assert ratfunc_equal(R, expect)
 
+    @pytest.mark.parametrize("case, param, c1, c2, c3", [
+        (1, Fraction(1), 1, 1, 3),
+        (1, Fraction(-2), 2, Fraction(-3, 2), 5),
+        (1, Fraction(1, 2), Fraction(1, 3), 2, -1),
+        (2, Fraction(2), 3, 1, 2),
+        (4, None, 2, -1, 3),
+        (5, None, 1, Fraction(1, 2), 7),
+    ])
+    def test_matches_sympy_brioschi(self, case, param, c1, c2, c3):
+        """R = 2K with the Gaussian curvature K of the lambda = 0 metric
+        E dx^2 + 2F dx dt + G dt^2 from Brioschi's formula, in sympy, on
+        metrics with a cross coefficient c2 != 0."""
+        sympy = pytest.importorskip("sympy")
+        x, t = sympy.symbols("x t", positive=True)
+
+        def exact(q):
+            return sympy.Rational(q.numerator, q.denominator)
+
+        def expr(f):
+            return sympy.Add(*(
+                (exact(q.coeff(0).re) + sympy.I * exact(q.coeff(0).im))
+                * x ** exact(a) * t ** b for (a, b), q in f.terms.items()))
+
+        M = standard_metric(case, alpha=param, beta=param,
+                            c1=c1, c2=c2, c3=c3)
+        (E, F), (F2, G) = [[expr(f) for f in row] for row in M.coefficients]
+        assert sympy.simplify(F - F2) == 0
+        d = sympy.diff
+        A = sympy.Matrix([
+            [-d(E, t, 2) / 2 + d(F, x, t) - d(G, x, 2) / 2,
+             d(E, x) / 2, d(F, x) - d(E, t) / 2],
+            [d(F, t) - d(G, x) / 2, E, F],
+            [d(G, t) / 2, F, G]])
+        B = sympy.Matrix([[0, d(E, t) / 2, d(G, x) / 2],
+                          [d(E, t) / 2, E, F],
+                          [d(G, x) / 2, F, G]])
+        K = (A.det() - B.det()) / (E * G - F ** 2) ** 2
+        R = scalar_curvature_classical(M)
+        assert sympy.simplify(expr(R.num) / expr(R.den) - 2 * K) == 0
+
     def test_degenerate_rejected(self):
         M = standard_metric(5, c3=0)
         with pytest.raises(ValueError, match="degenerate"):

@@ -1,10 +1,18 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from prelie_calculus.exact_core import I, ONE, Scalar, Tensor, ZERO
+from prelie_calculus.exact_core import (
+    I,
+    ONE,
+    Scalar,
+    Tensor,
+    ZERO,
+    contract_sum,
+)
 from prelie_calculus.liebialg import LieAlgebra, LieBialgebra, LieCoalgebra, dualize
 from prelie_calculus.prelie import (
     PreLieProduct,
@@ -105,6 +113,36 @@ class TestLeftSymmetryWitnesses:
         rep = check_left_symmetry(Xp, with_witnesses=True)
         assert not rep["left_symmetric"]
         assert rep["witnesses"]
+
+    def test_scalars_built_only_for_nonzero_outputs(self, monkeypatch):
+        """On a dense dim-5 product the check builds at most two Scalars
+        per nonzero entry of its two contractions, the associator and
+        its antisymmetrization.  Scalar arithmetic per product, about
+        4 n^5 = 12500 Scalars here, fails this."""
+        rng = random.Random(5)
+        n = 5
+        xi = Tensor((n,) * 3, {
+            idx: Scalar(Fraction(rng.randint(1, 9), rng.choice((1, 2, 3))),
+                        rng.randint(-1, 1))
+            for idx in itertools.product(range(n), repeat=3)})
+        assoc = contract_sum([(1, "ijm,mko->ijko", xi, xi),
+                              (-1, "jkm,imo->ijko", xi, xi)])
+        defect = contract_sum([(1, "ijko->ijko", assoc),
+                               (-1, "jiko->ijko", assoc)])
+        nnz = len(assoc.entries) + len(defect.entries)
+        built = []
+        init = Scalar.__init__
+
+        def counting_init(self, *args):
+            built.append(None)
+            init(self, *args)
+
+        monkeypatch.setattr(Scalar, "__init__", counting_init)
+        rep = check_left_symmetry(PreLieProduct(n, tuple("abcde"), xi),
+                                  with_witnesses=True)
+        monkeypatch.undo()
+        assert not rep["left_symmetric"] and defect.entries
+        assert len(built) <= 2 * nnz, (len(built), nnz)
 
     @given(st.integers(min_value=0, max_value=10**6))
     def test_random_products_obey_flatness_when_left_symmetric(self, seed):
