@@ -16,6 +16,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from math import gcd
 from typing import Callable, NamedTuple
 
 from .catalog import b_lie, load_catalog
@@ -80,8 +81,10 @@ class PreconditionFailed(Exception):
 # serialization helpers
 
 def _scalar_json(v: Scalar):
-    return [v.re.numerator, v.re.denominator,
-            v.im.numerator, v.im.denominator]
+    """[re_num, re_den, im_num, im_den], each part in lowest terms."""
+    re, im, den = v.triple
+    g, h = gcd(re, den), gcd(im, den)
+    return [re // g, den // g, im // h, den // h]
 
 
 def tensor_triples(t: Tensor):

@@ -3,15 +3,17 @@
 Everything downstream works over the Gaussian rationals Q(i) (class
 ``Scalar``), optionally extended by a formal deformation parameter
 lambda (class ``LambdaScalar``, a polynomial in lambda whose conjugation
-sends lambda to -lambda).  No floating point anywhere.
+sends lambda to -lambda).  Both store Gaussian integers over one
+positive denominator in lowest terms, so the arithmetic is exact
+integer arithmetic.  No floating point anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
-from math import lcm
+from itertools import chain, zip_longest
+from math import gcd, lcm
 from operator import itemgetter
 
 __all__ = [
@@ -36,113 +38,187 @@ __all__ = [
 ]
 
 
+_new = object.__new__
+
+
+def _scalar(re, im, den):
+    """The Scalar (re + im*i) / den of a triple already in lowest terms.
+    Every Scalar is made here."""
+    s = _new(Scalar)
+    s._re = re
+    s._im = im
+    s._den = den
+    return s
+
+
+def _reduced(re, im, den):
+    """The Scalar (re + im*i) / den of ints with den > 0."""
+    if den != 1:
+        g = gcd(den, re, im)
+        if g != 1:
+            return _scalar(re // g, im // g, den // g)
+    return _scalar(re, im, den)
+
+
+def _sum(a, b, d1, c, e, d2):
+    """(a + b*i) / d1 + (c + e*i) / d2 over the lcm of the denominators,
+    reduced as Fraction does: only a divisor of gcd(d1, d2) can cancel."""
+    if d1 == d2:
+        if d1 == 1:
+            return _scalar(a + c, b + e, 1)
+        return _reduced(a + c, b + e, d1)
+    g = gcd(d1, d2)
+    if g == 1:
+        return _scalar(a * d2 + c * d1, b * d2 + e * d1, d1 * d2)
+    s, t = d1 // g, d2 // g
+    re, im = a * t + c * s, b * t + e * s
+    h = gcd(g, re, im)
+    if h == 1:
+        return _scalar(re, im, s * d2)
+    return _scalar(re // h, im // h, s * (d2 // h))
+
+
+def _ratio(x):
+    """An int or Fraction part as (numerator, denominator); a bool, float
+    or str part is refused, so no value is ever rounded or parsed."""
+    if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+        raise TypeError(f"Scalar parts must be int or Fraction, "
+                        f"not {type(x).__name__}")
+    return x.numerator, x.denominator
+
+
+def _to_scalar(x):
+    """x as a Scalar when it is a Scalar, an int or a Fraction, else None."""
+    if isinstance(x, Scalar):
+        return x
+    if type(x) is int:
+        return _scalar(x, 0, 1)
+    if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
+        return Scalar(x)
+    return None
+
+
 class Scalar:
-    """An element a + b*i of Q(i), with a, b stored as Fractions."""
+    """An element (re + im*i) / den of Q(i), stored as three ints in
+    lowest terms: den > 0 and gcd(re, im, den) == 1, with zero as
+    (0, 0, 1).  Equal values have equal triples."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_re", "_im", "_den")
 
-    def __init__(self, re=0, im=0):
-        if type(re) is not Fraction:
-            re = Fraction(re)
-        if type(im) is not Fraction:
-            im = Fraction(im)
-        object.__setattr__(self, "re", re)
-        object.__setattr__(self, "im", im)
+    def __new__(cls, re=0, im=0):
+        a, da = _ratio(re)
+        b, db = _ratio(im)
+        if da == db:
+            return _reduced(a, b, da)
+        return _reduced(a * db, b * da, da * db)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Scalar is immutable")
+    @property
+    def re(self):
+        return Fraction(self._re, self._den)
+
+    @property
+    def im(self):
+        return Fraction(self._im, self._den)
+
+    @property
+    def triple(self):
+        """(re_num, im_num, den) with self = (re_num + im_num*i) / den in
+        lowest terms."""
+        return self._re, self._im, self._den
 
     # -- arithmetic ---------------------------------------------------
 
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, Scalar):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return Scalar(other)
-        return None
-
     def __add__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is Scalar else _to_scalar(other)
         if o is None:
             return NotImplemented
-        if not (self.im or o.im):
-            return Scalar(self.re + o.re, self.im)
-        return Scalar(self.re + o.re, self.im + o.im)
+        return _sum(self._re, self._im, self._den, o._re, o._im, o._den)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is Scalar else _to_scalar(other)
         if o is None:
             return NotImplemented
-        if not (self.im or o.im):
-            return Scalar(self.re - o.re, self.im)
-        return Scalar(self.re - o.re, self.im - o.im)
+        return _sum(self._re, self._im, self._den, -o._re, -o._im, o._den)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
+        o = _to_scalar(other)
         if o is None:
             return NotImplemented
         return o - self
 
     def __neg__(self):
-        return Scalar(-self.re, -self.im if self.im else self.im)
+        return _scalar(-self._re, -self._im, self._den)
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        """Each denominator first cancels against the other factor's
+        numerator, as Fraction's product does.  That leaves the result in
+        lowest terms when a factor is real; a product of two complex
+        factors can gain a rational factor, (1+i)(1-i) = 2, so it takes
+        one more gcd."""
+        o = other if type(other) is Scalar else _to_scalar(other)
         if o is None:
             return NotImplemented
-        if not (self.im or o.im):
-            return Scalar(self.re * o.re, self.im)
-        return Scalar(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
-        )
+        a, b, d1 = self._re, self._im, self._den
+        c, e, d2 = o._re, o._im, o._den
+        if d1 != 1:
+            g = gcd(d1, c, e)
+            if g != 1:
+                c, e, d1 = c // g, e // g, d1 // g
+        if d2 != 1:
+            g = gcd(d2, a, b)
+            if g != 1:
+                a, b, d2 = a // g, b // g, d2 // g
+        if b and e:
+            return _reduced(a * c - b * e, a * e + b * c, d1 * d2)
+        return _scalar(a * c - b * e, a * e + b * c, d1 * d2)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is Scalar else _to_scalar(other)
         if o is None:
             return NotImplemented
-        n = o.re * o.re + o.im * o.im
+        a, b = self._re, self._im
+        c, e, d2 = o._re, o._im, o._den
+        n = c * c + e * e
         if n == 0:
             raise ZeroDivisionError("division by zero Scalar")
-        return Scalar(
-            (self.re * o.re + self.im * o.im) / n,
-            (self.im * o.re - self.re * o.im) / n,
-        )
+        return _reduced((a * c + b * e) * d2, (b * c - a * e) * d2,
+                        self._den * n)
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
+        o = _to_scalar(other)
         if o is None:
             return NotImplemented
         return o / self
 
     def conj(self):
-        return Scalar(self.re, -self.im)
+        return _scalar(self._re, -self._im, self._den)
 
     def is_zero(self):
-        return self.re == 0 and self.im == 0
+        return not (self._re or self._im)
 
     # -- comparison / hashing -----------------------------------------
 
     def __eq__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is Scalar else _to_scalar(other)
         if o is None:
             return NotImplemented
-        return self.re == o.re and self.im == o.im
+        return (self._re == o._re and self._im == o._im
+                and self._den == o._den)
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash((self._re, self._im, self._den))
 
     def __repr__(self):
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            return f"{self.im}*i"
-        return f"({self.re}{'+' if self.im > 0 else ''}{self.im}*i)"
+        re, im = self.re, self.im
+        if im == 0:
+            return str(re)
+        if re == 0:
+            return f"{im}*i"
+        return f"({re}{'+' if im > 0 else ''}{im}*i)"
 
 
 ZERO = Scalar(0)
@@ -156,107 +232,208 @@ def _as_scalar(v):
     return Scalar(v)
 
 
+def _lambda(den, cs):
+    """The LambdaScalar sum_k cs[k] lambda^k / den of a tuple of Gaussian
+    integer pairs already in canonical form.  Every LambdaScalar is made
+    here."""
+    q = _new(LambdaScalar)
+    q._den = den
+    q._cs = cs
+    return q
+
+
+def _lambda_reduced(den, pairs, bound):
+    """The LambdaScalar of a list of int pairs over den > 0, with its
+    trailing zero pairs stripped and its content cancelled; only a
+    divisor of bound can cancel."""
+    n = len(pairs)
+    while n and not any(pairs[n - 1]):
+        n -= 1
+    if not n:
+        return L_ZERO
+    if n != len(pairs):
+        pairs = pairs[:n]
+    if bound != 1:
+        g = gcd(bound, *chain.from_iterable(pairs))
+        if g != 1:
+            return _lambda(den // g,
+                           tuple((re // g, im // g) for re, im in pairs))
+    return _lambda(den, tuple(pairs))
+
+
+def _lambda_sum(d1, p, d2, q):
+    """p / d1 + q / d2 for tuples of Gaussian integer pairs, over the lcm
+    of the denominators; only a divisor of gcd(d1, d2) can cancel."""
+    if not p:
+        return _lambda(d2, q) if q else L_ZERO
+    if not q:
+        return _lambda(d1, p)
+    if d1 == d2:
+        g = d1
+        pairs = [(a + c, b + e) for (a, b), (c, e)
+                 in zip_longest(p, q, fillvalue=(0, 0))]
+    else:
+        g = gcd(d1, d2)
+        s, t = d1 // g, d2 // g
+        pairs = [(a * t + c * s, b * t + e * s) for (a, b), (c, e)
+                 in zip_longest(p, q, fillvalue=(0, 0))]
+        d1 *= t
+    return _lambda_reduced(d1, pairs, g)
+
+
+def _to_lambda(x):
+    """x as a LambdaScalar when it is one or a Scalar, an int or a
+    Fraction, else None."""
+    if isinstance(x, LambdaScalar):
+        return x
+    s = _to_scalar(x)
+    if s is None:
+        return None
+    if s.is_zero():
+        return L_ZERO
+    return _lambda(s._den, ((s._re, s._im),))
+
+
 class LambdaScalar:
     """Polynomial in the formal deformation parameter lambda.
 
-    Coefficients are Scalars indexed by lambda-degree.  The star
+    The coefficient of lambda^k is (re_k + im_k*i) / den: one positive
+    int denominator over a tuple of Gaussian integer pairs, as FLINT's
+    fmpq_poly stores a rational polynomial.  The tuple has no trailing
+    zero pair and gcd(den, all re_k, im_k) == 1, so equal polynomials
+    have equal storage; zero is the empty tuple over 1.  The star
     operation conjugates coefficients and flips the sign of odd
     degrees, implementing lambda* = -lambda together with i* = -i.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_den", "_cs")
 
-    def __init__(self, coeffs=()):
+    def __new__(cls, coeffs=()):
         if isinstance(coeffs, (int, Fraction, Scalar)):
-            coeffs = (_as_scalar(coeffs),)
+            coeffs = (coeffs,)
         cs = [_as_scalar(c) for c in coeffs]
-        while cs and cs[-1].is_zero():
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        den = lcm(*(c._den for c in cs))
+        return _lambda_reduced(
+            den, [(c._re * (den // c._den), c._im * (den // c._den))
+                  for c in cs], den)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("LambdaScalar is immutable")
-
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, LambdaScalar):
-            return other
-        if isinstance(other, (int, Fraction, Scalar)):
-            return LambdaScalar(other)
-        return None
+    @property
+    def coeffs(self):
+        """The coefficients as Scalars, by lambda-degree."""
+        den = self._den
+        return tuple(_reduced(re, im, den) for re, im in self._cs)
 
     def __add__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is LambdaScalar else _to_lambda(other)
         if o is None:
             return NotImplemented
-        n = max(len(self.coeffs), len(o.coeffs))
-        return LambdaScalar(
-            [self.coeff(k) + o.coeff(k) for k in range(n)]
-        )
+        return _lambda_sum(self._den, self._cs, o._den, o._cs)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is LambdaScalar else _to_lambda(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        return _lambda_sum(self._den, self._cs, o._den,
+                           tuple((-re, -im) for re, im in o._cs))
 
     def __rsub__(self, other):
-        o = self._coerce(other)
+        o = _to_lambda(other)
         if o is None:
             return NotImplemented
         return o - self
 
     def __neg__(self):
-        return LambdaScalar([-c for c in self.coeffs])
+        return _lambda(self._den, tuple((-re, -im) for re, im in self._cs))
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        """Convolution of the int pairs over the product of the two
+        denominators.  As in Scalar's product, each denominator first
+        cancels against the other factor's content; by Gauss's lemma
+        that leaves the result in lowest terms unless both factors have
+        complex coefficients, which takes one more gcd.  A product of
+        nonzero polynomials over Z[i] has no trailing zero."""
+        o = other if type(other) is LambdaScalar else _to_lambda(other)
         if o is None:
             return NotImplemented
-        if not self.coeffs or not o.coeffs:
+        p, q = self._cs, o._cs
+        if not p or not q:
             return L_ZERO
-        out = [ZERO] * (len(self.coeffs) + len(o.coeffs) - 1)
-        for a, ca in enumerate(self.coeffs):
-            if ca.is_zero():
+        d1, d2 = self._den, o._den
+        if d1 != 1:
+            g = gcd(d1, *chain.from_iterable(q))
+            if g != 1:
+                q = [(re // g, im // g) for re, im in q]
+                d1 //= g
+        if d2 != 1:
+            g = gcd(d2, *chain.from_iterable(p))
+            if g != 1:
+                p = [(re // g, im // g) for re, im in p]
+                d2 //= g
+        if len(p) == 1 and len(q) == 1:
+            (a, b), = p
+            (c, e), = q
+            if b and e:
+                return _lambda_reduced(d1 * d2, [(a * c - b * e,
+                                                  a * e + b * c)], d1 * d2)
+            return _lambda(d1 * d2, ((a * c - b * e, a * e + b * c),))
+        re = [0] * (len(p) + len(q) - 1)
+        im = re[:]
+        for i, (a, b) in enumerate(p):
+            if not (a or b):
                 continue
-            for b, cb in enumerate(o.coeffs):
-                out[a + b] = out[a + b] + ca * cb
-        return LambdaScalar(out)
+            for k, (c, e) in enumerate(q, i):
+                re[k] += a * c - b * e
+                im[k] += a * e + b * c
+        pairs = list(zip(re, im))
+        if any(b for _, b in p) and any(e for _, e in q):
+            return _lambda_reduced(d1 * d2, pairs, d1 * d2)
+        return _lambda(d1 * d2, tuple(pairs))
 
     __rmul__ = __mul__
 
     def coeff(self, k):
-        return self.coeffs[k] if k < len(self.coeffs) else ZERO
+        if k < len(self._cs):
+            return _reduced(*self._cs[k], self._den)
+        return ZERO
 
     def conj(self):
         """Star: coefficient of lambda^k maps to (-1)^k * conj."""
-        return LambdaScalar(
-            [c.conj() if k % 2 == 0 else -c.conj()
-             for k, c in enumerate(self.coeffs)]
-        )
+        return _lambda(self._den, tuple(
+            (re, -im) if k % 2 == 0 else (-re, im)
+            for k, (re, im) in enumerate(self._cs)))
 
     def evaluate(self, lam: Scalar) -> Scalar:
-        acc = ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * lam + c
-        return acc
+        """Horner's rule over the Gaussian integers: with lam = z / d,
+        the sum of c_k z^k d^(n-1-k) over den * d^(n-1)."""
+        cs = self._cs
+        if not cs:
+            return ZERO
+        lam = _as_scalar(lam)
+        z_re, z_im, d = lam._re, lam._im, lam._den
+        re, im = cs[-1]
+        power = 1
+        for c_re, c_im in reversed(cs[:-1]):
+            power *= d
+            re, im = (re * z_re - im * z_im + c_re * power,
+                      re * z_im + im * z_re + c_im * power)
+        return _reduced(re, im, self._den * power)
 
     def is_zero(self):
-        return not self.coeffs
+        return not self._cs
 
     def __eq__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is LambdaScalar else _to_lambda(other)
         if o is None:
             return NotImplemented
-        return self.coeffs == o.coeffs
+        return self._den == o._den and self._cs == o._cs
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self._den, self._cs))
 
     def __repr__(self):
-        if not self.coeffs:
+        if not self._cs:
             return "0"
         parts = []
         for k, c in enumerate(self.coeffs):
@@ -271,7 +448,7 @@ class LambdaScalar:
         return " + ".join(parts)
 
 
-L_ZERO = LambdaScalar(())
+L_ZERO = _lambda(1, ())
 L_ONE = LambdaScalar(1)
 LAMBDA = LambdaScalar((ZERO, ONE))
 
@@ -352,7 +529,7 @@ class Tensor:
         t = object.__new__(cls)
         object.__setattr__(t, "shape", shape)
         object.__setattr__(t, "entries",
-                           {k: Scalar(Fraction(re, den), Fraction(im, den))
+                           {k: _reduced(re, im, den)
                             for k, (re, im) in entries.items() if re or im})
         return t
 
@@ -425,12 +602,12 @@ def _gaussian(t, memo):
     hit = memo.get(id(t))
     if hit is not None:
         return hit[1], hit[2]
-    vals = t.entries.values()
-    den = lcm(*{v.re.denominator for v in vals},
-              *{v.im.denominator for v in vals})
-    entries = {k: (v.re.numerator * (den // v.re.denominator),
-                   v.im.numerator * (den // v.im.denominator))
-               for k, v in t.entries.items()}
+    den = lcm(*{v._den for v in t.entries.values()})
+    if den == 1:
+        entries = {k: (v._re, v._im) for k, v in t.entries.items()}
+    else:
+        entries = {k: (v._re * (den // v._den), v._im * (den // v._den))
+                   for k, v in t.entries.items()}
     memo[id(t)] = (t, den, entries)
     return den, entries
 
@@ -484,7 +661,7 @@ def tensor_contract(spec, *operands) -> Tensor:
     are summed over, and a single operand with a permuted output is a
     pure axis reorder.  Only nonzero entries are ever visited.  The
     arithmetic is exact over the Gaussian integers: each operand's
-    denominators are cleared once, and Fractions are built only for the
+    denominators are cleared once, and Scalars are built only for the
     nonzero output entries.
     """
     shape, den, part = _contract(spec, operands, {})
@@ -500,7 +677,7 @@ def contract_sum(terms) -> Tensor:
     Each operand's denominators are cleared once per call, however many
     terms it appears in; every term is contracted over the Gaussian
     integers and rescaled to one common denominator, the lcm of the
-    terms' denominators, and Fractions are built only for the nonzero
+    terms' denominators, and Scalars are built only for the nonzero
     sums.
     """
     memo = {}
@@ -588,7 +765,11 @@ def accumulate(pairs):
     for key, value in pairs:
         old = get(key)
         out[key] = value if old is None else old + value
-    return {k: v for k, v in out.items() if not v.is_zero()}
+    # deleting in place hashes only the keys that go; a GenPoly key
+    # holds a Fraction, whose hash is costly
+    for key in [k for k, v in out.items() if v.is_zero()]:
+        del out[key]
+    return out
 
 
 def _sorted_forms(forms):
@@ -730,7 +911,7 @@ class GenPoly(TermMap):
         )
 
     def max_lambda_degree(self):
-        return max((len(q.coeffs) - 1 for q in self.terms.values()), default=-1)
+        return max((len(q._cs) - 1 for q in self.terms.values()), default=-1)
 
     def __repr__(self):
         if not self.terms:

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -75,6 +76,147 @@ class TestLambdaScalar:
     def test_evaluate(self):
         p = L_ONE + LAMBDA * LAMBDA  # 1 + lambda^2
         assert p.evaluate(Scalar(3)) == Scalar(10)
+
+
+@pytest.mark.parametrize("part", [0.1, 1.0, float("nan"), "1/3", "2", True,
+                                  False, None, 1j])
+def test_only_int_and_fraction_parts(part):
+    """No float, str or bool is ever taken as a number: Scalar(0.1) would
+    otherwise be the binary fraction nearest 1/10."""
+    with pytest.raises(TypeError):
+        Scalar(part)
+    with pytest.raises(TypeError):
+        Scalar(1, part)
+    with pytest.raises(TypeError):
+        LambdaScalar(part)
+    with pytest.raises(TypeError):
+        ONE * part
+    with pytest.raises(TypeError):
+        L_ONE + part
+
+
+# Oracle for the integer storage: every operation against plain
+# (Fraction, Fraction) arithmetic, with numerators and denominators up to
+# 10^12, past the heights the geometry benchmark draws, and small parts
+# over shared denominators, where cancellation is likely.
+big_parts = st.builds(Fraction, st.integers(-10**12, 10**12),
+                      st.integers(1, 10**12))
+small_parts = st.builds(Fraction, st.integers(-6, 6),
+                        st.sampled_from((1, 2, 3, 4, 6, 12)))
+ref_scalars = st.tuples(small_parts | big_parts | st.just(Fraction(0)),
+                        small_parts | big_parts | st.just(Fraction(0)))
+ref_polys = st.lists(ref_scalars, max_size=4)
+R_ZERO = (Fraction(0), Fraction(0))
+
+
+def _ref_mul(x, y):
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def _ref_div(x, y):
+    n = y[0] * y[0] + y[1] * y[1]
+    return (x[0] * y[0] + x[1] * y[1]) / n, (x[1] * y[0] - x[0] * y[1]) / n
+
+
+def _value(s):
+    """A Scalar's value as a reference pair, after checking that it is
+    stored in lowest terms."""
+    re, im, den = s.triple
+    assert den > 0 and math.gcd(re, im, den) == 1, s.triple
+    return Fraction(re, den), Fraction(im, den)
+
+
+def _poly_value(q):
+    """A LambdaScalar's coefficients as reference pairs, after checking
+    its storage: a positive denominator, content 1, no trailing zero."""
+    den, cs = q._den, q._cs
+    assert den > 0 and math.gcd(den, *itertools.chain(*cs)) == 1
+    assert not cs or cs[-1] != (0, 0)
+    assert all(type(n) is int for n in itertools.chain((den,), *cs))
+    return [_value(c) for c in q.coeffs]
+
+
+def _ref_trim(cs):
+    cs = list(cs)
+    while cs and cs[-1] == R_ZERO:
+        cs.pop()
+    return cs
+
+
+class TestIntegerStorage:
+    @settings(max_examples=300)
+    @given(ref_scalars, ref_scalars)
+    def test_scalar_ops_match_fraction_pairs(self, x, y):
+        a, b = Scalar(*x), Scalar(*y)
+        assert _value(a) == x and _value(b) == y
+        assert _value(a + b) == (x[0] + y[0], x[1] + y[1])
+        assert _value(a - b) == (x[0] - y[0], x[1] - y[1])
+        assert _value(a * b) == _ref_mul(x, y)
+        assert _value(-a) == (-x[0], -x[1])
+        assert _value(a.conj()) == (x[0], -x[1])
+        if y != R_ZERO:
+            assert _value(a / b) == _ref_div(x, y)
+        assert (a == b) == (x == y)
+        # a value reached by two routes has one triple and one hash
+        c = (a * b + a) - a * b
+        assert c == a and c.triple == a.triple and hash(c) == hash(a)
+        assert Scalar(x[0]) == x[0] and hash(Scalar(*x)) == hash(a)
+
+    def test_zero_is_one_triple(self):
+        big = Scalar(Fraction(7, 10**12), Fraction(-3, 10**12))
+        for zero in (big - big, big * ZERO, ZERO * big, Scalar(0, 0),
+                     Scalar(Fraction(0, 5))):
+            assert zero.triple == (0, 0, 1) and zero == ZERO
+
+    def test_public_attributes_are_read_only(self):
+        for obj, attr in ((ONE, "re"), (ONE, "im"), (ONE, "triple"),
+                          (L_ONE, "coeffs"), (ONE, "extra")):
+            with pytest.raises(AttributeError):
+                setattr(obj, attr, 0)
+
+    def test_gaussian_product_cancels(self):
+        # (1+i)^2 / 2 = i: no denominator cancels against a numerator
+        # before the product, so the gcd comes after
+        half = Scalar(Fraction(1, 2), Fraction(1, 2))
+        assert (Scalar(1, 1) * half).triple == (0, 1, 1)
+        assert (Scalar(2, 1) * Scalar(Fraction(2, 5), Fraction(-1, 5))
+                ).triple == (1, 0, 1)
+        # the same for lambda-polynomials: (1+i)(1-i)/2 = 1
+        conj_half = LambdaScalar(half.conj())
+        for p, expect in ((LambdaScalar(I + ONE), L_ONE),
+                          (LambdaScalar((ONE + I, ONE + I)), L_ONE + LAMBDA)):
+            prod = p * conj_half
+            assert prod == expect and _poly_value(prod) == _poly_value(expect)
+            assert (prod._den, prod._cs) == (expect._den, expect._cs)
+
+    @settings(max_examples=200)
+    @given(ref_polys, ref_polys, ref_scalars)
+    def test_lambda_ops_match_fraction_pairs(self, p, q, z):
+        a, b = LambdaScalar([Scalar(*c) for c in p]), \
+            LambdaScalar([Scalar(*c) for c in q])
+        assert _poly_value(a) == _ref_trim(p)
+        pairs = list(itertools.zip_longest(p, q, fillvalue=R_ZERO))
+        assert _poly_value(a + b) == _ref_trim(
+            (x[0] + y[0], x[1] + y[1]) for x, y in pairs)
+        assert _poly_value(a - b) == _ref_trim(
+            (x[0] - y[0], x[1] - y[1]) for x, y in pairs)
+        prod = [R_ZERO] * max(len(p) + len(q) - 1, 0)
+        for i, x in enumerate(p):
+            for j, y in enumerate(q):
+                xy = _ref_mul(x, y)
+                prod[i + j] = (prod[i + j][0] + xy[0],
+                               prod[i + j][1] + xy[1])
+        assert _poly_value(a * b) == _ref_trim(prod)
+        assert _poly_value(a.conj()) == _ref_trim(
+            (x[0], -x[1]) if k % 2 == 0 else (-x[0], x[1])
+            for k, x in enumerate(p))
+        acc = R_ZERO
+        for x in reversed(p):
+            acc = _ref_mul(acc, z)
+            acc = (acc[0] + x[0], acc[1] + x[1])
+        assert _value(a.evaluate(Scalar(*z))) == acc
+        c = (a * b + a) - a * b
+        assert c == a and hash(c) == hash(a)
 
 
 def dense_einsum(spec, *operands):
@@ -419,3 +561,10 @@ def test_accumulate_merges_and_drops_zeros():
     polys = accumulate([(0, GenPoly.const(1)), (0, GenPoly.const(-1))])
     assert polys == {}
     assert list(accumulate([(2, L_ONE), (1, L_ONE), (2, L_ONE)])) == [2, 1]
+    # the keys that stay keep the order of their first occurrence
+    out = accumulate([("c", ONE), ("a", ONE), ("b", I), ("a", -ONE),
+                      ("d", I), ("e", ONE), ("b", ONE), ("e", -ONE)])
+    assert list(out) == ["c", "b", "d"]
+    polys = accumulate([((Fraction(1, 2), 0), L_ONE), ((0, 1), L_ONE),
+                        ((Fraction(1, 2), 0), -L_ONE), ((2, 0), L_ONE)])
+    assert list(polys) == [(0, 1), (2, 0)]
