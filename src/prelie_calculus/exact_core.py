@@ -965,38 +965,6 @@ class RatFunc:
     def const(q):
         return RatFunc(GenPoly.const(q))
 
-    def __add__(self, other):
-        if not isinstance(other, RatFunc):
-            return NotImplemented
-        return RatFunc(self.num * other.den + other.num * self.den,
-                       self.den * other.den)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return RatFunc(-self.num, self.den)
-
-    def __mul__(self, other):
-        if not isinstance(other, RatFunc):
-            return NotImplemented
-        return RatFunc(self.num * other.num, self.den * other.den)
-
-    def __truediv__(self, other):
-        if not isinstance(other, RatFunc):
-            return NotImplemented
-        if other.num.is_zero():
-            raise ZeroDivisionError("division by zero RatFunc")
-        return RatFunc(self.num * other.den, self.den * other.num)
-
-    def derivative(self, var: str) -> "RatFunc":
-        """Quotient rule with exact GenPoly arithmetic."""
-        return RatFunc(
-            genpoly_derivative(self.num, var) * self.den
-            - self.num * genpoly_derivative(self.den, var),
-            self.den * self.den,
-        )
-
     def is_zero(self):
         return self.num.is_zero()
 

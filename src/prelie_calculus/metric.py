@@ -8,8 +8,8 @@ generator relations, e.g. for the first family t x^a = x^a (t - lambda a).
 
 Metrics are stored by their coefficients over the ordered tensor basis
 {dx(x)dx, dx(x)dt, dt(x)dx, dt(x)dt}.  The classical-limit scalar
-curvature is computed with exact rational-function arithmetic via
-Christoffel symbols.
+curvature is computed exactly by Brioschi's formula, over the single
+denominator (EG - F^2)^2.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .exact_core import (
     ZERO,
     _sorted_forms,
     accumulate,
-    ratfunc_equal,
+    genpoly_derivative,
 )
 
 __all__ = [
@@ -407,61 +407,45 @@ def check_metric(M: MetricCandidate, with_witnesses=False):
     return report
 
 
-def _classical(f: GenPoly) -> RatFunc:
-    return RatFunc(f.eval_lambda(ZERO))
-
-
 def scalar_curvature_classical(M: MetricCandidate) -> RatFunc:
-    """Scalar curvature of the lambda = 0 limit of the metric, via
-    Christoffel symbols in the coordinates (x, t)."""
-    E = _classical(M.coefficients[DX][DX])
-    F = _classical(M.coefficients[DX][DT])
-    F2 = _classical(M.coefficients[DT][DX])
-    G = _classical(M.coefficients[DT][DT])
-    if not ratfunc_equal(F, F2):
+    """Scalar curvature R = 2K of the lambda = 0 limit of the metric,
+    E dx^2 + 2F dx dt + G dt^2, with the Gaussian curvature K from
+    Brioschi's formula K = (det A - det B) / (EG - F^2)^2.  Everything
+    but the final quotient is GenPoly arithmetic, so the result has the
+    one denominator (EG - F^2)^2."""
+    (E, F), (F2, G) = [[f.eval_lambda(ZERO) for f in row]
+                       for row in M.coefficients]
+    if F != F2:
         raise ValueError("classical limit is not symmetric")
-    g = [[E, F], [F, G]]
     det = E * G - F * F
     if det.is_zero():
         raise ValueError("degenerate classical metric")
-    ginv = [[G / det, -(F / det)], [-(F / det), E / det]]
-    coords = ("x", "t")
 
-    def d(f, i):
-        return f.derivative(coords[i])
+    def dx(f):
+        return genpoly_derivative(f, "x")
 
-    half = RatFunc.const(Fraction(1, 2))
-    n = 2
-    gamma = [[[RatFunc.const(0) for _ in range(n)] for _ in range(n)]
-             for _ in range(n)]
-    for k in range(n):
-        for i in range(n):
-            for j in range(n):
-                s = RatFunc.const(0)
-                for l in range(n):
-                    s = s + ginv[k][l] * (
-                        d(g[j][l], i) + d(g[i][l], j) - d(g[i][j], l))
-                gamma[k][i][j] = half * s
+    def dt(f):
+        return genpoly_derivative(f, "t")
 
-    def ricci(i, j):
-        r = RatFunc.const(0)
-        for k in range(n):
-            r = r + d(gamma[k][i][j], k) - d(gamma[k][i][k], j)
-            for l in range(n):
-                r = r + gamma[k][k][l] * gamma[l][i][j] \
-                    - gamma[k][j][l] * gamma[l][i][k]
-        return r
-
-    R = RatFunc.const(0)
-    for i in range(n):
-        for j in range(n):
-            R = R + ginv[i][j] * ricci(i, j)
-    return R
+    Ex, Et, Fx, Ft, Gx, Gt = dx(E), dt(E), dx(F), dt(F), dx(G), dt(G)
+    u = Ft + Ft - Gx
+    w = Fx + Fx - Et
+    # Brioschi's determinants with the halves cleared, in terms of
+    # u = 2 F_t - G_x, w = 2 F_x - E_t and a = 2 A_11 = 2 F_xt - E_tt - G_xx:
+    #   4 det A = 2a det - E_x (u G - F G_t) + w (u F - E G_t),
+    #   4 det B = -(E_t^2 G - 2 E_t F G_x + E G_x^2),
+    # and R = 2K = (4 det A - 4 det B) / (2 det^2)
+    a = dt(Fx + Fx) - dt(Et) - dx(Gx)
+    four = (a + a) * det - Ex * (u * G - F * Gt) \
+        + w * (u * F - E * Gt) \
+        + Et * (Et * G - (F + F) * Gx) + E * Gx * Gx
+    return RatFunc(four.scale(Scalar(Fraction(1, 2))), det * det)
 
 
 def _closed_form_curvature(M: MetricCandidate):
     """The classified closed-form scalar curvature, when the candidate
-    is in standard form (c2 folded away for the non-first families)."""
+    is in standard form; None outside it, in particular when a family
+    other than the first has a cross coefficient c2 != 0."""
     if M.calculus == "b1":
         alpha = Fraction(M.param)
         # read c1, c2, c3 back off the coefficient matrix
@@ -476,6 +460,14 @@ def _closed_form_curvature(M: MetricCandidate):
             return None
         val = Scalar(-2) * Scalar(alpha) * Scalar(alpha) * c3 / det
         return RatFunc(GenPoly({(Fraction(0), 0): val}))
+    # the other closed forms assume c2 = 0; c2 alone feeds the
+    # lambda-free x^a t^0 term of F, where x^a is the frame determinant
+    # up to sign: a = 2 beta - 1, -3 or 1
+    a = 2 * Fraction(M.param) - 1 if M.calculus == "b2" \
+        else Fraction(-3 if M.calculus == "b4" else 1)
+    cross = M.coefficients[DX][DT].terms.get((a, 0))
+    if cross is not None and not cross.coeff(0).is_zero():
+        return None
     if M.calculus == "b2":
         beta = Fraction(M.param)
         c1 = M.coefficients[1][1].terms.get((2 * beta, 0))

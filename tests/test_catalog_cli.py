@@ -526,6 +526,19 @@ class TestCLIReports:
             (rep,) = data.values()
             assert rep["matches_closed_form"]
 
+    @pytest.mark.parametrize("argv", [
+        ("--case", "4", "--c2", "3"),
+        ("--case", "5", "--c1", "2", "--c2", "7"),
+        ("--case", "2", "--beta", "2", "--c2", "[1,3]"),
+    ])
+    def test_curvature_cross_term_has_no_closed_form(self, capsys, argv):
+        """The closed forms of cases 2, 4 and 5 assume c2 = 0; with a
+        cross term the curvature is printed and nothing is compared."""
+        code, out, _ = run(capsys, "curvature", *argv, "--json")
+        assert code == 0, out
+        (rep,) = json.loads(out).values()
+        assert set(rep) == {"scalar_curvature"}
+
     def test_metric_instance_file(self, capsys, tmp_path):
         inst = tmp_path / "m.json"
         inst.write_text(json.dumps({

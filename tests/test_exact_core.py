@@ -454,13 +454,6 @@ class TestRatFunc:
         with pytest.raises(ZeroDivisionError):
             RatFunc(GenPoly.const(1), GenPoly({}))
 
-    def test_quotient_rule(self):
-        x = RatFunc(self.x())
-        one = RatFunc.const(1)
-        inv = one / x
-        # d/dx (1/x) = -1/x^2
-        assert ratfunc_equal(inv.derivative("x"), -(one / (x * x)))
-
 
 # -- the shared term-map base ----------------------------------------------
 

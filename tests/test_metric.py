@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import Phase, given, settings, strategies as st
 
 from prelie_calculus.exact_core import (
     GenPoly,
@@ -35,6 +36,20 @@ T = GenPoly.monomial(0, 1)
 
 def gp(terms):
     return GenPoly(terms)
+
+
+def expr(f):
+    """The lambda = 0 part of f as a sympy expression in the positive
+    symbols x and t."""
+    import sympy
+    x, t = sympy.symbols("x t", positive=True)
+
+    def exact(q):
+        return sympy.Rational(q.numerator, q.denominator)
+
+    return sympy.Add(*(
+        (exact(q.coeff(0).re) + sympy.I * exact(q.coeff(0).im))
+        * x ** exact(a) * t ** b for (a, b), q in f.terms.items()))
 
 
 ALL_CALCULI = [
@@ -376,14 +391,6 @@ class TestCurvature:
         sympy = pytest.importorskip("sympy")
         x, t = sympy.symbols("x t", positive=True)
 
-        def exact(q):
-            return sympy.Rational(q.numerator, q.denominator)
-
-        def expr(f):
-            return sympy.Add(*(
-                (exact(q.coeff(0).re) + sympy.I * exact(q.coeff(0).im))
-                * x ** exact(a) * t ** b for (a, b), q in f.terms.items()))
-
         M = standard_metric(case, alpha=param, beta=param,
                             c1=c1, c2=c2, c3=c3)
         (E, F), (F2, G) = [[expr(f) for f in row] for row in M.coefficients]
@@ -400,6 +407,65 @@ class TestCurvature:
         K = (A.det() - B.det()) / (E * G - F ** 2) ** 2
         R = scalar_curvature_classical(M)
         assert sympy.simplify(expr(R.num) / expr(R.den) - 2 * K) == 0
+
+    @pytest.mark.parametrize("case", [1, 2, 4, 5])
+    # no shrink phase: shrinking these sympy examples runs for minutes,
+    # and a failure is reported with the example as drawn
+    @settings(max_examples=4, deadline=None,
+              phases=[Phase.explicit, Phase.reuse, Phase.generate])
+    @given(data=st.data())
+    def test_matches_sympy_christoffel(self, case, data):
+        """R from the Christoffel symbols and the Ricci contraction of
+        the lambda = 0 metric, in sympy, on metrics with complex c's,
+        a cross coefficient c2 != 0 and heights up to 10^6."""
+        sympy = pytest.importorskip("sympy")
+        x, t = sympy.symbols("x t", positive=True)
+        height = data.draw(st.sampled_from([3, 50, 10 ** 6]))
+        rational = st.builds(Fraction, st.integers(-height, height).filter(
+            bool), st.integers(1, height))
+        exp = data.draw(rational)
+        c1, c3 = (data.draw(st.builds(Scalar, rational,
+                                      st.just(0) | rational))
+                  for _ in range(2))
+        c2 = data.draw(st.builds(Scalar, rational, st.just(0) | rational)
+                       .filter(lambda c2: c1 * c3 != c2 * c2))
+        M = standard_metric(case, alpha=exp, beta=exp, c1=c1, c2=c2, c3=c3)
+
+        g = sympy.Matrix([[expr(f) for f in row] for row in M.coefficients])
+        det, adj, X = g.det(), g.adjugate(), (x, t)
+        # with det(g) cleared: Gamma = gam / det, Ric = ric / det^2, and
+        # R = sum adj * ric / det^3
+        gam = [[[sum(adj[k, l] * (g[j, l].diff(X[i]) + g[i, l].diff(X[j])
+                                  - g[i, j].diff(X[l])) for l in range(2)) / 2
+                 for j in range(2)] for i in range(2)] for k in range(2)]
+
+        def ric(i, j):
+            return sum(
+                (gam[k][i][j].diff(X[k]) - gam[k][i][k].diff(X[j])) * det
+                - gam[k][i][j] * det.diff(X[k])
+                + gam[k][i][k] * det.diff(X[j])
+                + sum(gam[k][k][l] * gam[l][i][j]
+                      - gam[k][j][l] * gam[l][i][k] for l in range(2))
+                for k in range(2))
+
+        oracle = sum(adj[i, j] * ric(i, j)
+                     for i in range(2) for j in range(2))
+        R = scalar_curvature_classical(M)
+        assert sympy.expand(
+            oracle * expr(R.den) - expr(R.num) * det ** 3) == 0
+
+    @pytest.mark.parametrize("case", [4, 5])
+    def test_single_denominator(self, case):
+        """The result is carried over (EG - F^2)^2 itself: no product of
+        denominators builds up on the way."""
+        M = standard_metric(case, c1=Fraction(-999983, 999979),
+                            c2=Fraction(999961, 777767),
+                            c3=Scalar(Fraction(865307, 10 ** 6),
+                                      Fraction(-3, 7)))
+        (E, F), (_, G) = [[f.eval_lambda(ZERO) for f in row]
+                          for row in M.coefficients]
+        det = E * G - F * F
+        assert scalar_curvature_classical(M).den == det * det
 
     def test_degenerate_rejected(self):
         M = standard_metric(5, c3=0)
