@@ -15,17 +15,17 @@ graded algebra with the classical Grassmann wedge on the de_i.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, combinations_with_replacement, product
+from itertools import combinations_with_replacement, product
 from math import comb, prod
 
 from .exact_core import (
     LAMBDA,
     L_ONE,
-    LambdaScalar,
     ONE,
     Scalar,
     TermMap,
     ZERO,
+    _lambda,
     _sorted_forms,
     accumulate,
     linear_kernel,
@@ -217,11 +217,13 @@ class _Calculus:
             prefix = tuple(a for a, m, c in zip(letters, counts, chosen)
                            for _ in range(m - c))
             weight = prod(comb(m, c) for m, c in zip(counts, chosen))
-            lead = (ZERO,) * (len(suffix) - 1)
+            lead = ((0, 0),) * (len(suffix) - 1)
             for k, comp in enumerate(self.omega(suffix)):
                 if not comp.is_zero():
-                    terms[(prefix, (k,))] = LambdaScalar(
-                        lead + (comp * weight,))
+                    # the monomial comp * weight * lambda^(s-1), built
+                    # from the Scalar's lowest-terms triple
+                    re, im, den = (comp * weight).triple
+                    terms[(prefix, (k,))] = _lambda(den, lead + ((re, im),))
         return terms
 
     def d(self, terms):
@@ -340,58 +342,94 @@ def _pbw_words(dim, max_len, min_len=0):
             yield word
 
 
+def _signed_sum(*parts):
+    """Terms of the sum of sign * terms over (sign, terms) parts."""
+    return accumulate((key, q if sign > 0 else -q)
+                      for sign, terms in parts for key, q in terms.items())
+
+
+def _bimodule_holds(calc, x, y):
+    """(R): de_k . (xy - yx - lambda[x,y]) = 0 for every k, moving de_k
+    past each letter of the words as they stand."""
+    n = calc.prelie.dim
+    rel = {((x, y), ()): L_ONE, ((y, x), ()): -L_ONE}
+    for k in range(n):
+        s = calc.m.bracket.get(x, y, k)
+        if not s.is_zero():
+            rel[((k,), ())] = -(LAMBDA * s)
+    return not any(calc.form_mul({((), (k,)): L_ONE}, rel)
+                   for k in range(n))
+
+
+def _bracket_holds(calc, x, y):
+    """(D): dx.y + x.dy - dy.x - y.dx - lambda d[x,y] = 0, with every
+    product from form_mul."""
+    fx, fy = {((x,), ()): L_ONE}, {((y,), ()): L_ONE}
+    dx, dy = {((), (x,)): L_ONE}, {((), (y,)): L_ONE}
+    lie = {((), (k,)): LAMBDA * calc.m.bracket.get(x, y, k)
+           for k in range(calc.prelie.dim)}
+    return not _signed_sum(
+        (1, calc.form_mul(dx, fy)), (1, calc.form_mul(fx, dy)),
+        (-1, calc.form_mul(dy, fx)), (-1, calc.form_mul(fy, dx)),
+        (-1, lie))
+
+
+def _leibniz_holds(calc, u, v):
+    """d(uv) = (du)v + u(dv) for nonempty PBW words u and v."""
+    return calc.d(calc.normal(u + v)) == _signed_sum(
+        (1, calc.form_mul(calc.d_word(u), {(v, ()): L_ONE})),
+        (1, calc.form_mul({(u, ()): L_ONE}, calc.d_word(v))))
+
+
+def _leibniz_witnesses(calc, n, max_len):
+    """Every pair (u, v) of nonempty PBW words with len(u) + len(v) <=
+    max_len on which Leibniz fails: leibniz_pairs(n, max_len) checks."""
+    return [(u, v)
+            for u in _pbw_words(n, max_len - 1, min_len=1)
+            for v in _pbw_words(n, max_len - len(u), min_len=1)
+            if not _leibniz_holds(calc, u, v)]
+
+
 def check_first_order(m: LieAlgebra, prelie: PreLieProduct, max_len=4,
                       with_witnesses=False):
-    """Exact consistency of the first-order calculus on U_lambda(m).
+    """Exact consistency of the first-order calculus on U_lambda(m), with
+    lambda formal.
 
-    Checks, with lambda formal:
-      (i)   Leibniz d(uv) = (du)v + u(dv) for PBW words with
-            len(u) + len(v) <= max_len;
-      (ii)  d(xy - yx - lambda[x,y]) = 0 on generator pairs;
-      (iii) [x, dy] - lambda d(x o y) = 0 on generator pairs.
+    The calculus is defined by generators and relations, so d extends
+    from d(x) = dx to a derivation of U_lambda(m) exactly when, for all
+    generators x < y,
+      (R) moving each de_k past xy - yx - lambda[x,y] gives 0, so the
+          commutation rule defines a bimodule (witnesses "bimodule");
+      (D) dx.y + x.dy - dy.x - y.dx - lambda d[x,y] = 0 in Omega^1, so
+          that derivation kills the relations (witnesses "bracket");
+    and d_word is that derivation on words up to max_len when
+      (P) d_word(w) = dx.w' + x.dw' for each PBW word w = x w' with
+          2 <= len(w) <= max_len.
+    Together they give Leibniz d(uv) = (du)v + u(dv) on every pair of
+    PBW words with len(u) + len(v) <= max_len, at O(words) products.
+    Only when they fail, and witnesses are asked for, are all those
+    pairs checked and the failing ones listed under "leibniz"; (P)
+    fails exactly when one of them does.
     """
     n = m.dim
     if prelie.dim != n:
         raise ValueError("dimension mismatch")
-    witnesses = {"leibniz": [], "bracket": [], "bimodule": []}
     calc = _Calculus(prelie, m)
-
-    for u in _pbw_words(n, max_len - 1, min_len=1):
-        du, fu = calc.d_word(u), {(u, ()): L_ONE}
-        for v in _pbw_words(n, max_len - len(u), min_len=1):
-            lhs = calc.d(calc.normal(u + v))
-            rhs = accumulate(chain(
-                calc.form_mul(du, {(v, ()): L_ONE}).items(),
-                calc.form_mul(fu, calc.d_word(v)).items()))
-            if lhs != rhs:
-                witnesses["leibniz"].append((u, v))
-
-    for x in range(n):
-        for y in range(n):
-            ex = NCElement.generator(n, x)
-            ey = NCElement.generator(n, y)
-            comm = nc_mul(ex, ey, m) - nc_mul(ey, ex, m)
-            lie = NCElement(n, {
-                (k,): LAMBDA * m.bracket.get(x, y, k) for k in range(n)
-            })
-            if calc.d((comm - lie).terms):
-                witnesses["bracket"].append((x, y))
-            # [x, dy] - lambda d(x o y)
-            fx = {((x,), ()): L_ONE}
-            dy = {((), (y,)): L_ONE}
-            commf = accumulate(chain(
-                calc.form_mul(fx, dy).items(),
-                ((key, -q) for key, q in calc.form_mul(dy, fx).items())))
-            dxy = FormElement(n, {
-                ((), (k,)): LAMBDA * prelie.xi.get(x, y, k) for k in range(n)
-            })
-            if commf != dxy.terms:
-                witnesses["bimodule"].append((x, y))
-
-    ok = not any(witnesses.values())
-    if with_witnesses:
-        return {"first_order": ok, "witnesses": witnesses}
-    return ok
+    generators = [(x, y) for x in range(n) for y in range(x + 1, n)]
+    witnesses = {
+        "leibniz": [],
+        "bracket": [g for g in generators if not _bracket_holds(calc, *g)],
+        "bimodule": [g for g in generators
+                     if not _bimodule_holds(calc, *g)],
+    }
+    ok = not any(witnesses.values()) and all(
+        _leibniz_holds(calc, w[:1], w[1:])
+        for w in _pbw_words(n, max_len, min_len=2))
+    if not with_witnesses:
+        return ok
+    if not ok:
+        witnesses["leibniz"] = _leibniz_witnesses(calc, n, max_len)
+    return {"first_order": ok, "witnesses": witnesses}
 
 
 def leibniz_pairs(dim, max_len):
@@ -401,19 +439,55 @@ def leibniz_pairs(dim, max_len):
         - 2 * comb(dim + max_len, max_len) + 1
 
 
+def _connected(calc, words, lam):
+    """Whether the matrix of d on these words (all PBW words up to some
+    length) at lambda = lam has kernel the constants, by a certificate
+    read off the d_word table in one pass.
+
+    Order the rows (prefix, forms) by len(prefix) and the columns by word
+    length.  d_word(w) puts prefixes of length len(w) - 1 - j at
+    lambda^j, so every entry lies on or above the diagonal block
+    len(prefix) = len(w) - 1, where d is the classical derivative; the
+    Euler contraction sum count * (prefix + k) maps it back to len(w) * w.
+    So each diagonal block is injective for len(w) >= 1, and a kernel
+    vector must vanish off the empty word, block by block from the
+    longest words down.  Returns False as soon as either condition
+    fails."""
+    for w in words:
+        diag = len(w) - 1
+        euler = []
+        for (prefix, forms), c in calc.d_word(w).items():
+            if len(prefix) < diag:
+                continue
+            val = c.evaluate(lam)
+            if val.is_zero():
+                continue
+            if len(prefix) > diag or len(forms) != 1:
+                return False
+            euler.append((tuple(sorted(prefix + forms)), val))
+        if w and accumulate(euler) != {w: Scalar(len(w))}:
+            return False
+    return True
+
+
 def kernel_of_d(m: LieAlgebra, prelie: PreLieProduct, n: int,
                 lambda_value: Scalar) -> dict:
     """Kernel of d on the PBW filtration level U_n at a numeric lambda.
 
     Returns the kernel dimension, the word basis of U_n and kernel
-    vectors in that basis; a connected calculus has dimension 1.
+    vectors in that basis; a connected calculus has dimension 1.  The
+    triangular certificate of _connected proves that answer without
+    elimination; the matrix is reduced only when it fails.
     """
     lam = lambda_value if isinstance(lambda_value, Scalar) \
         else Scalar(Fraction(lambda_value))
     dim = m.dim
     words = list(_pbw_words(dim, n))
-    col = {w: i for i, w in enumerate(words)}
     calc = _Calculus(prelie)
+    if _connected(calc, words, lam):
+        return {"dimension": 1, "words": words,
+                "kernel": [[ONE] + [ZERO] * (len(words) - 1)]}
+    col = {w: i for i, w in enumerate(words)}
     rows = {}
     for w in words:
         for (pw, forms), c in calc.d_word(w).items():

@@ -444,8 +444,7 @@ def scalar_curvature_classical(M: MetricCandidate) -> RatFunc:
 
 def _closed_form_curvature(M: MetricCandidate):
     """The classified closed-form scalar curvature, when the candidate
-    is in standard form; None outside it, in particular when a family
-    other than the first has a cross coefficient c2 != 0."""
+    is in standard form; None outside it."""
     if M.calculus == "b1":
         alpha = Fraction(M.param)
         # read c1, c2, c3 back off the coefficient matrix
@@ -460,56 +459,50 @@ def _closed_form_curvature(M: MetricCandidate):
             return None
         val = Scalar(-2) * Scalar(alpha) * Scalar(alpha) * c3 / det
         return RatFunc(GenPoly({(Fraction(0), 0): val}))
-    # the other closed forms assume c2 = 0; c2 alone feeds the
-    # lambda-free x^a t^0 term of F, where x^a is the frame determinant
-    # up to sign: a = 2 beta - 1, -3 or 1
-    a = 2 * Fraction(M.param) - 1 if M.calculus == "b2" \
-        else Fraction(-3 if M.calculus == "b4" else 1)
-    cross = M.coefficients[DX][DT].terms.get((a, 0))
-    if cross is not None and not cross.coeff(0).is_zero():
-        return None
+    def const(xi, eta, a):
+        """The lambda-free coefficient of x^a t^0 in front of dxi (x) deta."""
+        q = M.coefficients[xi][eta].terms.get((Fraction(a), 0))
+        return q.coeff(0) if q is not None else ZERO
+
+    # c1 and c3 sit at t^0 in E and G; c2 alone feeds the x^a t^0 term
+    # of F, where x^a is the frame determinant up to sign
     if M.calculus == "b2":
         beta = Fraction(M.param)
-        c1 = M.coefficients[1][1].terms.get((2 * beta, 0))
-        if c1 is None:
-            return None
-        # G = c3 x^(2 beta); then R = -4 beta^2 / (c1 x^(2 beta)) with
-        # c1 the constant part of E x^(2-2beta) minus c3 beta^2 t^2 term
-        e0 = M.coefficients[0][0].terms.get((2 * beta - 2, 0))
-        c3 = M.coefficients[1][1].terms.get((2 * beta, 0)).coeff(0)
-        if e0 is None:
-            return None
-        c1 = e0.coeff(0)
-        num = GenPoly({(-2 * beta, 0):
-                       Scalar(-4) * Scalar(beta) * Scalar(beta)})
-        return RatFunc(num, GenPoly({(Fraction(0), 0): c1})) \
-            if not c1.is_zero() and not c3.is_zero() else None
+        a, c1, c3 = 2 * beta - 1, const(DX, DX, 2 * beta - 2), \
+            const(DT, DT, 2 * beta)
+    elif M.calculus == "b4":
+        a, c1, c3 = -3, const(DT, DT, -4), const(DX, DX, -2)
+    elif M.calculus == "b5":
+        a, c1, c3 = 1, const(DX, DX, 0), const(DT, DT, 2)
+    else:
+        return None
+    c2 = const(DX, DT, a)
+    if c3.is_zero():
+        return None
+    # the classical limit is c3 v' (x) v' + c1' u (x) u with v' = v +
+    # (c2/c3) u and c1' = (c1 c3 - c2^2) / c3: the c2 = 0 metric with
+    # t shifted (by c2/c3 in cases 4 and 5, by c2/(beta c3) in case 2),
+    # so the closed forms hold with c1' and, in case 4, the only one
+    # whose R depends on t, with t - c2/c3
+    c1 = (c1 * c3 - c2 * c2) / c3
+    if c1.is_zero():
+        return None
+    if M.calculus == "b2":
+        # R = -4 beta^2 / (c1' x^(2 beta))
+        return RatFunc(GenPoly({(-2 * beta, 0):
+                                Scalar(-4) * Scalar(beta) * Scalar(beta)}),
+                       GenPoly({(Fraction(0), 0): c1}))
     if M.calculus == "b4":
-        c3 = M.coefficients[0][0].terms.get((Fraction(-2), 0))
-        t2 = M.coefficients[1][1].terms.get((Fraction(-4), 2))
-        base = M.coefficients[1][1].terms.get((Fraction(-4), 0))
-        if c3 is None or t2 is None or base is None:
-            return None
-        c3 = c3.coeff(0)
-        # the lambda-free part of x^4 G is c1 at t-degree 0
-        c1 = base.coeff(0)
-        if c1.is_zero() or c3.is_zero():
-            return None
-        num = GenPoly({(Fraction(2), 0): Scalar(4) / c1,
-                       (Fraction(0), 2): Scalar(-8) / c1,
-                       (Fraction(0), 0): Scalar(-8) / c3})
-        return RatFunc(num)
-    if M.calculus == "b5":
-        c3 = M.coefficients[1][1].terms.get((Fraction(2), 0))
-        base = M.coefficients[0][0].terms.get((Fraction(0), 0))
-        if c3 is None or base is None:
-            return None
-        c1 = base.coeff(0)
-        if c1.is_zero():
-            return None
-        return RatFunc(GenPoly({(Fraction(0), 0): Scalar(-4)}),
-                       GenPoly({(Fraction(2), 0): c1}))
-    return None
+        # R = 4 x^2 / c1' - 8 (t - s)^2 / c1' - 8 / c3, s = c2 / c3
+        s = c2 / c3
+        return RatFunc(GenPoly({
+            (Fraction(2), 0): Scalar(4) / c1,
+            (Fraction(0), 2): Scalar(-8) / c1,
+            (Fraction(0), 1): Scalar(16) * s / c1,
+            (Fraction(0), 0): Scalar(-8) * s * s / c1 - Scalar(8) / c3}))
+    # R = -4 / (c1' x^2)
+    return RatFunc(GenPoly({(Fraction(0), 0): Scalar(-4)}),
+                   GenPoly({(Fraction(2), 0): c1}))
 
 
 def _tidy_ratfunc(R: RatFunc) -> RatFunc:

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from prelie_calculus import cli
 from prelie_calculus.catalog import load_catalog
 from prelie_calculus.exact_core import ONE
+from prelie_calculus.metric import standard_metric
 
 
 def run(capsys, *argv):
@@ -530,14 +531,39 @@ class TestCLIReports:
         ("--case", "4", "--c2", "3"),
         ("--case", "5", "--c1", "2", "--c2", "7"),
         ("--case", "2", "--beta", "2", "--c2", "[1,3]"),
+        ("--case", "5", "--c1", "5", "--c2", "3", "--c3", "7"),
+        ("--case", "2", "--beta", "2", "--c1", "5", "--c2", "3", "--c3",
+         "7"),
+        ("--case", "4", "--c1", "5", "--c2", "3", "--c3", "7"),
     ])
-    def test_curvature_cross_term_has_no_closed_form(self, capsys, argv):
-        """The closed forms of cases 2, 4 and 5 assume c2 = 0; with a
-        cross term the curvature is printed and nothing is compared."""
+    def test_curvature_cross_term_matches_closed_form(self, capsys, argv):
+        """With a cross term c2 the closed forms of cases 2, 4 and 5 hold
+        with c1 replaced by (c1 c3 - c2^2) / c3 and, in case 4, t by
+        t - c2/c3."""
         code, out, _ = run(capsys, "curvature", *argv, "--json")
         assert code == 0, out
         (rep,) = json.loads(out).values()
-        assert set(rep) == {"scalar_curvature"}
+        assert rep["matches_closed_form"] is True
+
+    @pytest.mark.parametrize("case, param", [(2, 2), (4, None), (5, None)])
+    def test_curvature_wrong_reduced_c1_fails(self, capsys, monkeypatch,
+                                              case, param):
+        """A closed form that ignores c2 (c1' = c1, no shift of t) does
+        not match, and the run exits 1."""
+        def ignore_cross_term(M):
+            c = {"c1": 5, "c2": 0, "c3": 7}
+            return closed_form(standard_metric(case, alpha=param,
+                                               beta=param, **c))
+
+        closed_form = cli._closed_form_curvature
+        monkeypatch.setattr(cli, "_closed_form_curvature", ignore_cross_term)
+        argv = ["--case", str(case), "--c1", "5", "--c2", "3", "--c3", "7"]
+        if param is not None:
+            argv += ["--beta", str(param)]
+        code, out, _ = run(capsys, "curvature", *argv, "--json")
+        (rep,) = json.loads(out).values()
+        assert rep["matches_closed_form"] is False
+        assert code == 1
 
     def test_metric_instance_file(self, capsys, tmp_path):
         inst = tmp_path / "m.json"

@@ -1,7 +1,8 @@
 import ast
+import json
 import random
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement
 from pathlib import Path
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from prelie_calculus.exact_core import (
     I, L_ONE, L_ZERO, LAMBDA, LambdaScalar, ONE, Scalar, Tensor, ZERO,
-    _sorted_forms, accumulate,
+    _sorted_forms, accumulate, linear_kernel,
 )
 from prelie_calculus.liebialg import LieAlgebra
 from prelie_calculus.prelie import PreLieProduct, prelie_from_table
@@ -21,6 +22,7 @@ from prelie_calculus.catalog import (
     su2_dual_lie,
     su2_dual_prelie,
 )
+from prelie_calculus import cli, dga
 from prelie_calculus.dga import (
     FormElement,
     NCElement,
@@ -90,11 +92,47 @@ def reference_form_mul(a, b, m, prelie):
     return FormElement(a.dim, accumulate(pairs))
 
 
+def reference_bracket_and_bimodule(m, prelie):
+    """The (D) and (R) witnesses of check_first_order from subset_d and
+    reference_form_mul: pairs x < y with dx.y + x.dy - dy.x - y.dx -
+    lambda d[x,y] != 0, and pairs x < y with (de_k . x) . y - (de_k . y)
+    . x - de_k . lambda[x,y] != 0 for some k."""
+    n = m.dim
+    bracket, bimodule = [], []
+
+    def moved(k, *factors):
+        """de_k times the factors, one product at a time."""
+        out = FormElement.d_generator(n, k)
+        for f in factors:
+            out = reference_form_mul(out, f, m, prelie)
+        return out
+
+    for x, y in combinations(range(n), 2):
+        ex, ey = NCElement.generator(n, x), NCElement.generator(n, y)
+        fx, fy = FormElement.from_nc(ex), FormElement.from_nc(ey)
+        dx, dy = subset_d(ex, prelie), subset_d(ey, prelie)
+        lie = NCElement(n, {(k,): LAMBDA * m.bracket.get(x, y, k)
+                            for k in range(n)})
+        defect = reference_form_mul(dx, fy, m, prelie) \
+            + reference_form_mul(fx, dy, m, prelie) \
+            - reference_form_mul(dy, fx, m, prelie) \
+            - reference_form_mul(fy, dx, m, prelie) - subset_d(lie, prelie)
+        if not defect.is_zero():
+            bracket.append((x, y))
+        flie = FormElement.from_nc(lie)
+        if any(not (moved(k, fx, fy) - moved(k, fy, fx)
+                    - moved(k, flie)).is_zero() for k in range(n)):
+            bimodule.append((x, y))
+    return bracket, bimodule
+
+
 def reference_first_order(m, prelie, max_len):
     """check_first_order(..., with_witnesses=True) from subset_d and
-    reference_form_mul, pair by pair."""
+    reference_form_mul: the Leibniz sweep pair by pair, and (D) and (R)
+    from reference_bracket_and_bimodule."""
     n = m.dim
-    witnesses = {"leibniz": [], "bracket": [], "bimodule": []}
+    bracket, bimodule = reference_bracket_and_bimodule(m, prelie)
+    witnesses = {"leibniz": [], "bracket": bracket, "bimodule": bimodule}
 
     def words(hi):
         return [w for ln in range(1, hi + 1)
@@ -110,23 +148,33 @@ def reference_first_order(m, prelie, max_len):
                                      subset_d(ev, prelie), m, prelie)
             if lhs != rhs:
                 witnesses["leibniz"].append((u, v))
-    for x, y in product(range(n), repeat=2):
-        ex, ey = NCElement.generator(n, x), NCElement.generator(n, y)
-        comm = nc_mul(ex, ey, m) - nc_mul(ey, ex, m)
-        lie = NCElement(n, {(k,): LAMBDA * m.bracket.get(x, y, k)
-                            for k in range(n)})
-        if not subset_d(comm - lie, prelie).is_zero():
-            witnesses["bracket"].append((x, y))
-        fx = FormElement.from_nc(ex)
-        dy = FormElement.d_generator(n, y)
-        commf = reference_form_mul(fx, dy, m, prelie) \
-            - reference_form_mul(dy, fx, m, prelie)
-        dxy = FormElement(n, {((), (k,)): LAMBDA * prelie.xi.get(x, y, k)
-                              for k in range(n)})
-        if commf != dxy:
-            witnesses["bimodule"].append((x, y))
     return {"first_order": not any(witnesses.values()),
             "witnesses": witnesses}
+
+
+def commutator_bracket(prelie):
+    """x o y - y o x as a LieAlgebra, left-symmetric product or not."""
+    n = prelie.dim
+    entries = accumulate(pair for (i, j, k), c in prelie.xi.entries.items()
+                         for pair in (((i, j, k), c), ((j, i, k), -c)))
+    return LieAlgebra(n, prelie.basis_names, Tensor((n,) * 3, entries))
+
+
+def reference_kernel(m, prelie, n, lam):
+    """kernel_of_d by elimination: the matrix of d on the PBW words up to
+    length n at lambda = lam, one row per (prefix, forms) key, reduced by
+    linear_kernel."""
+    words = [w for ln in range(n + 1)
+             for w in combinations_with_replacement(range(prelie.dim), ln)]
+    rows = {}
+    for j, w in enumerate(words):
+        d = differential_d(NCElement(prelie.dim, {w: L_ONE}), prelie)
+        for key, c in d.terms.items():
+            val = c.evaluate(lam)
+            if not val.is_zero():
+                rows.setdefault(key, [ZERO] * len(words))[j] = val
+    kernel = linear_kernel(list(rows.values()) or [[ZERO] * len(words)])
+    return {"dimension": len(kernel), "words": words, "kernel": kernel}
 
 
 def catalog_products():
@@ -145,6 +193,13 @@ def mutant(prelie, seed):
                          Tensor(prelie.xi.shape, entries))
 
 
+def su2_dual_mutant():
+    """su2* with psi+ o psi- = -2 psi-: not left-symmetric."""
+    xi = dict(su2_dual_prelie().xi.entries)
+    xi[(1, 2, 2)] = Scalar(-2)
+    return PreLieProduct(3, ("phi", "psi+", "psi-"), Tensor((3, 3, 3), xi))
+
+
 def all_families():
     return [
         ("b1", b_family("b1", Fraction(3))),
@@ -153,6 +208,38 @@ def all_families():
         ("b4", b_family("b4")),
         ("b5", b_family("b5")),
     ]
+
+
+@st.composite
+def products(draw):
+    """(Lie algebra, product): a dim-2 product over [x,t]=x, or a dim-3
+    product over its commutator bracket or the abelian one.  The
+    product is a left-symmetric one (a catalog product, or b4 plus a
+    zero third basis vector), one of those with one coefficient
+    changed, or a sparse random one."""
+    dim = draw(st.sampled_from([2, 3]))
+    index = st.integers(0, dim - 1)
+    bases = [Xp for _, Xp in all_families()] if dim == 2 else [
+        su2_dual_prelie(),
+        PreLieProduct(3, ("x", "t", "z"),
+                      Tensor((3, 3, 3), b_family("b4").xi.entries))]
+    entries = draw(st.sampled_from(bases + [None]))
+    entries = dict(entries.xi.entries) if entries is not None else draw(
+        st.dictionaries(st.tuples(index, index, index),
+                        st.integers(-2, 2).filter(bool).map(Scalar),
+                        min_size=1, max_size=2 * dim))
+    if draw(st.booleans()):
+        key = draw(st.tuples(index, index, index))
+        entries[key] = entries.get(key, ZERO) \
+            + Scalar(draw(st.sampled_from([-2, -1, 1, 2])))
+    Xp = PreLieProduct(dim, tuple(f"e{i}" for i in range(dim)),
+                       Tensor((dim,) * 3,
+                              {k: v for k, v in entries.items()
+                               if not v.is_zero()}))
+    if dim == 2:
+        return b_lie(), Xp
+    abelian = LieAlgebra(3, Xp.basis_names, Tensor((3, 3, 3), {}))
+    return draw(st.sampled_from([commutator_bracket(Xp), abelian])), Xp
 
 
 class TestNormalForm:
@@ -328,6 +415,65 @@ class TestFirstOrder:
         assert leibniz_pairs(dim, max_len) == sum(
             1 for u in words for v in words if len(u) + len(v) <= max_len)
 
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_certificate_matches_reference(self, data):
+        """The verdict of (R), (D) and (P) is the reference verdict, on
+        dim-2 products over [x,t]=x and dim-3 products over their
+        commutator or the abelian bracket, left-symmetric or not, at
+        max-len 3 and 4.  In particular a passing certificate proves
+        Leibniz on every pair; the converse fails, see
+        test_bimodule_only_mutant."""
+        m, Xp = data.draw(products())
+        max_len = data.draw(st.sampled_from([3, 4]))
+        assert check_first_order(m, Xp, max_len=max_len) \
+            == reference_first_order(m, Xp, max_len)["first_order"]
+
+    @staticmethod
+    def p_holds(leibniz):
+        """(P) passes: no Leibniz witness is a pair (x, w') with x w' a
+        PBW word."""
+        return not any(len(u) == 1 and u[0] <= v[0] for u, v in leibniz)
+
+    @pytest.mark.parametrize("Xp, max_len", [
+        (prelie_from_table(("x", "t"), {(0, 0): {1: 1}, (1, 1): {1: 1}}), 2),
+        (su2_dual_mutant(), 5),
+    ], ids=["dim2", "su2-dual"])
+    def test_bimodule_only_mutant(self, Xp, max_len):
+        """Products that are not left-symmetric, over their own
+        commutator bracket: de_x . (xy - yx) != lambda de_x . [x,y].  No
+        Leibniz pair up to max-len sees it (x o x = t o t = t at max-len
+        2; su2* with psi+ o psi- = -2 psi- even at max-len 5); only (R)
+        does."""
+        rep = check_first_order(commutator_bracket(Xp), Xp, max_len=max_len,
+                                with_witnesses=True)
+        assert rep == {"first_order": False, "witnesses": {
+            "leibniz": [], "bracket": [], "bimodule": [(0, 1)]}}
+
+    def test_bracket_only_mutant(self):
+        """The zero product over [x,t]=x: the bimodule is the classical
+        one and d_word the classical derivative, but d(xt - tx) = 0 !=
+        lambda dx."""
+        zero = PreLieProduct(2, ("x", "t"), Tensor((2, 2, 2), {}))
+        rep = check_first_order(b_lie(), zero, max_len=3,
+                                with_witnesses=True)
+        assert not rep["first_order"]
+        assert rep["witnesses"]["bracket"] == [(0, 1)]
+        assert rep["witnesses"]["bimodule"] == []
+        assert self.p_holds(rep["witnesses"]["leibniz"])
+
+    def test_closed_formula_only_mutant(self, monkeypatch):
+        """d_word of b4 with one coefficient of the word x x t changed:
+        the relations still hold, and only (P) fails, at x . xt."""
+        add_one_to_d_word(monkeypatch, (0, 0, 1), ((0, 0), (1,)))
+        rep = check_first_order(b_lie(), b_family("b4"), max_len=3,
+                                with_witnesses=True)
+        assert not rep["first_order"]
+        assert rep["witnesses"]["bracket"] == []
+        assert rep["witnesses"]["bimodule"] == []
+        assert ((0,), (0, 1)) in rep["witnesses"]["leibniz"]
+        assert not self.p_holds(rep["witnesses"]["leibniz"])
+
 
 class TestExteriorD:
     def test_d_of_dx(self):
@@ -407,12 +553,16 @@ class TestKernel:
     @pytest.mark.parametrize("iid, m, Xp", catalog_products(),
                              ids=lambda v: v if isinstance(v, str) else "")
     def test_rank_and_kernel_match_sympy(self, iid, m, Xp, lam):
+        n = 4 if Xp.dim == 2 else 3
+        self.assert_matches_sympy(kernel_of_d(m, Xp, n, Scalar(lam)), Xp,
+                                  lam)
+
+    @staticmethod
+    def assert_matches_sympy(rep, Xp, lam):
         """The matrix of d at lambda, built from subset_d on the words
         kernel_of_d returns: sympy's rank plus the kernel dimension is
         the number of words, and each kernel vector is annihilated."""
         sympy = pytest.importorskip("sympy")
-        n = 4 if Xp.dim == 2 else 3
-        rep = kernel_of_d(m, Xp, n, Scalar(lam))
         words = rep["words"]
 
         def exact(s):
@@ -430,3 +580,88 @@ class TestKernel:
         for vec in rep["kernel"]:
             column = sympy.Matrix([exact(v) for v in vec]).to_DM()
             assert (matrix * column.convert_to(matrix.domain)).is_zero_matrix
+
+    LAMBDAS = [Scalar(0), Scalar(1), Scalar(Fraction(3, 7)), Scalar(-2)]
+
+    @pytest.mark.parametrize("lam", LAMBDAS, ids=repr)
+    @pytest.mark.parametrize("iid, m, Xp", catalog_products(),
+                             ids=lambda v: v if isinstance(v, str) else "")
+    def test_certificate_matches_elimination(self, iid, m, Xp, lam):
+        n = 5 if Xp.dim == 2 else 4
+        assert kernel_of_d(m, Xp, n, lam) == reference_kernel(m, Xp, n, lam)
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_certificate_matches_elimination_on_random_products(self,
+                                                                data):
+        """Connectedness holds for every product, left-symmetric or not,
+        and at every lambda."""
+        m, Xp = data.draw(products())
+        lam = data.draw(st.sampled_from(self.LAMBDAS))
+        n = data.draw(st.integers(0, 4 if Xp.dim == 2 else 3))
+        assert kernel_of_d(m, Xp, n, lam) == reference_kernel(m, Xp, n, lam)
+
+    def test_diagonal_mutant_takes_elimination(self, monkeypatch):
+        """With the coefficient of xt dx in d(x x t) changed from 2 to 3
+        the Euler contraction no longer returns 3 x x t, so kernel_of_d
+        reduces the matrix; the kernel is still the constants."""
+        add_one_to_d_word(monkeypatch, (0, 0, 1), ((0, 1), (0,)))
+        calls = counted(monkeypatch, "linear_kernel")
+        m, Xp, lam = b_lie(), b_family("b4"), Fraction(3, 7)
+        rep = kernel_of_d(m, Xp, 4, Scalar(lam))
+        assert len(calls) == 1
+        assert rep == reference_kernel(m, Xp, 4, Scalar(lam))
+        self.assert_matches_sympy(rep, Xp, lam)
+
+
+def add_one_to_d_word(monkeypatch, word, key):
+    """Make _Calculus.d_word add 1 to the coefficient of key in d(word)."""
+    true_d = dga._Calculus.d_word
+
+    def d_word(calc, w):
+        terms = true_d(calc, w)
+        return {**terms, key: terms[key] + L_ONE} if w == word else terms
+
+    monkeypatch.setattr(dga._Calculus, "d_word", d_word)
+
+
+def counted(monkeypatch, name):
+    """Replace dga.<name> by a wrapper that records the arguments of
+    each call; returns the list of records."""
+    calls = []
+    fn = getattr(dga, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(dga, name, wrapper)
+    return calls
+
+
+class TestWorkCount:
+    """A passing check costs O(words): no Leibniz sweep over pairs and
+    no elimination."""
+
+    def test_passing_run_sweeps_and_eliminates_nothing(self, monkeypatch,
+                                                       capsys):
+        sweeps = counted(monkeypatch, "_leibniz_witnesses")
+        pairs = counted(monkeypatch, "_leibniz_holds")
+        kernels = counted(monkeypatch, "linear_kernel")
+        code = cli.main(["calculus", "--instance", "b4", "--max-len", "5",
+                         "--json"])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out) == {"b4": {
+            "connected": True, "first_order": True, "kernel_dimension": 1}}
+        assert sweeps == [] and kernels == []
+        # (P): one pair x . w' per PBW word x w' of length 2 to 5
+        assert len(pairs) == 3 + 4 + 5 + 6 < leibniz_pairs(2, 5)
+
+    def test_failing_run_takes_the_sweep(self, monkeypatch):
+        sweeps = counted(monkeypatch, "_leibniz_witnesses")
+        pairs = counted(monkeypatch, "_leibniz_holds")
+        rep = check_first_order(b_lie(), mutant(b_family("b4"), 2),
+                                max_len=5, with_witnesses=True)
+        assert not rep["first_order"] and rep["witnesses"]["leibniz"]
+        assert len(sweeps) == 1
+        assert len(pairs) >= leibniz_pairs(2, 5)
