@@ -16,7 +16,7 @@ import json
 import os
 import sys
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 from typing import Callable, NamedTuple
 
 from .catalog import b_lie, load_catalog
@@ -25,7 +25,7 @@ from .constructions import (
     check_cotangent_bicovariance,
     xi_action_on_g,
 )
-from .dga import check_first_order, kernel_of_d, leibniz_pairs
+from .dga import check_first_order, kernel_of_d
 from .exact_core import Scalar, Tensor, ratfunc_equal
 from .group_dga import GroupDGAData, build_group_dga, check_group_dga
 from .liebialg import (
@@ -58,10 +58,12 @@ from .su2 import verify_su2_bicrossproduct_omega, verify_su2_semiclassical
 
 USAGE_ERROR, CHECK_FAILED, SCHEMA_ERROR = 2, 1, 3
 
-# `calculus` refuses a run that would check more Leibniz pairs than this;
-# 870 pairs (dim 2 at --max-len 10) take about 10 s on a 2-vCPU machine
-# under Python 3.11, and the time per pair grows with the word length
-MAX_LEIBNIZ_PAIRS = 1000
+# `calculus` refuses a run over more PBW words than this, counting the
+# empty word: C(dim + max-len, max-len).  The slowest admitted run
+# measured, a dense dim-3 instance file at --max-len 12 (455 words),
+# takes 2.8 s on a 2-vCPU machine under Python 3.11; dense dim-4 at
+# --max-len 8 (495 words) takes 1.7 s and b4 at --max-len 30 about 1 s
+MAX_PBW_WORDS = 500
 
 
 class SchemaError(Exception):
@@ -364,12 +366,12 @@ def _calculus_report(entry, args):
 
 def _calculus_bound(entries, args):
     for entry in entries:
-        pairs = leibniz_pairs(entry["build"]().dim, args.max_len)
-        if pairs > MAX_LEIBNIZ_PAIRS:
+        words = comb(entry["build"]().dim + args.max_len, args.max_len)
+        if words > MAX_PBW_WORDS:
             raise UsageError(
                 f"{entry['id']}: calculus at --max-len {args.max_len} would "
-                f"check {pairs} Leibniz pairs, over the limit of "
-                f"{MAX_LEIBNIZ_PAIRS}")
+                f"differentiate {words} PBW words, over the limit of "
+                f"{MAX_PBW_WORDS}")
 
 
 def _groupdga_report(entry, args):

@@ -32,6 +32,7 @@ from .liebialg import (
 )
 from .prelie import (
     PreLieProduct,
+    _associator,
     _delta_gstar,
     _xi_ass_terms,
     _xi_con_terms,
@@ -150,10 +151,7 @@ def _check_commutative(X: PreLieProduct):
 
 
 def check_associative(X: PreLieProduct, with_witnesses=False):
-    xi = X.xi
-    assoc = contract_sum([(1, "ijm,mko->ijko", xi, xi),
-                          (-1, "jkm,imo->ijko", xi, xi)])
-    witnesses = _leading(assoc, 3)
+    witnesses = _leading(_associator(X.xi), 3)
     if with_witnesses:
         return {"associative": not witnesses, "witnesses": witnesses}
     return not witnesses

@@ -43,7 +43,6 @@ __all__ = [
     "form_mul",
     "exterior_d",
     "check_first_order",
-    "leibniz_pairs",
     "kernel_of_d",
 ]
 
@@ -383,7 +382,7 @@ def _leibniz_holds(calc, u, v):
 
 def _leibniz_witnesses(calc, n, max_len):
     """Every pair (u, v) of nonempty PBW words with len(u) + len(v) <=
-    max_len on which Leibniz fails: leibniz_pairs(n, max_len) checks."""
+    max_len on which Leibniz fails."""
     return [(u, v)
             for u in _pbw_words(n, max_len - 1, min_len=1)
             for v in _pbw_words(n, max_len - len(u), min_len=1)
@@ -430,13 +429,6 @@ def check_first_order(m: LieAlgebra, prelie: PreLieProduct, max_len=4,
     if not ok:
         witnesses["leibniz"] = _leibniz_witnesses(calc, n, max_len)
     return {"first_order": ok, "witnesses": witnesses}
-
-
-def leibniz_pairs(dim, max_len):
-    """Number of pairs (u, v) that check_first_order checks for Leibniz:
-    the coefficient sum of (1/(1-x)^dim - 1)^2 up to x^max_len."""
-    return comb(2 * dim + max_len, max_len) \
-        - 2 * comb(dim + max_len, max_len) + 1
 
 
 def _connected(calc, words, lam):

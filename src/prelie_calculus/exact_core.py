@@ -910,9 +910,6 @@ class GenPoly(TermMap):
             {k: LambdaScalar(v.evaluate(lam)) for k, v in self.terms.items()}
         )
 
-    def max_lambda_degree(self):
-        return max((len(q._cs) - 1 for q in self.terms.values()), default=-1)
-
     def __repr__(self):
         if not self.terms:
             return "0"

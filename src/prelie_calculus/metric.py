@@ -2,9 +2,10 @@
 
 Functions are localized elements: finite sums of q x^a t^b with a
 rational, b natural and q a polynomial in lambda (GenPoly).  Normal
-order keeps all functions to the left of form generators; the exact
-commutation rules are closed-form exponent shifts derived from the
-generator relations, e.g. for the first family t x^a = x^a (t - lambda a).
+order keeps all functions to the left of form generators.  Functions
+commute by t x^a = x^a (t - lambda a); the form rules are read off the
+family's Xi by the rule dga uses, [e_i, de_j] = lambda d(e_i o e_j), i.e.
+d(xi) . e_i = e_i . d(xi) - lambda Xi[i, xi, eta] d(eta).
 
 Metrics are stored by their coefficients over the ordered tensor basis
 {dx(x)dx, dx(x)dt, dt(x)dx, dt(x)dt}.  The classical-limit scalar
@@ -16,13 +17,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import chain
 from math import comb
 
-from itertools import chain
-
+from .catalog import b_family
 from .exact_core import (
     GenPoly,
     LambdaScalar,
+    L_ONE,
     ONE,
     RatFunc,
     Scalar,
@@ -96,76 +99,64 @@ def func_star(f: GenPoly) -> GenPoly:
         for (_, j), s in _shifted_t_power(b, -Scalar(a)).terms.items()))
 
 
+@lru_cache(maxsize=64)
+def _commutation(calculus, param):
+    """The rows N[xi] and T[xi] of d(xi) . x = x d(xi) + N[xi][eta] d(eta)
+    and d(xi) . t = t d(xi) + T[xi][eta] d(eta), as nonzero (eta, entry)
+    pairs: N[xi][eta] = -lambda Xi[x, xi, eta] and T[xi][eta] = -lambda
+    Xi[t, xi, eta] (generator x has index DX and t index DT)."""
+    table = b_family(calculus, param).xi
+
+    def rows(gen):
+        return tuple(tuple((eta, _lam(-table.get(gen, form, eta)))
+                           for eta in (DX, DT)
+                           if not table.get(gen, form, eta).is_zero())
+                     for form in (DX, DT))
+
+    return rows(DX), rows(DT)
+
+
 def _monomial_rule(calculus, param, xi, a, b):
-    """Closed form for d(xi) . x^a t^b as [(eta, GenPoly)] pieces."""
+    """d(xi) . x^a t^b in normal order, as {(eta, (a', j)): coefficient}.
+
+    Past x^a in one step, d(xi) . x^a = x^a d(xi) + a x^(a-1) N[xi][eta]
+    d(eta), exact because N^2 = 0 in every supported calculus; then past
+    t one factor at a time."""
+    N, T = _commutation(calculus, param)
     a = Fraction(a)
-    af = Scalar(a)
-    xa = GenPoly.monomial(a, 0)
-    xa1 = GenPoly.monomial(a - 1, 0)
-
-    def tp(shift):
-        return _shifted_t_power(b, shift)
-
-    if calculus == "b1":
-        alpha = Scalar(param)
-        if xi == DX:
-            return [(DX, xa * tp(ONE))]
-        return [(DT, xa * tp(-alpha))]
-    if calculus == "b2":
-        beta = Scalar(param)
-        if xi == DX:
-            return [(DX, xa * tp(-(beta - ONE)))]
-        pieces = [(DT, xa * tp(-beta))]
-        corr = xa1.scale(_lam(-(beta * af))) * tp(-(beta - ONE))
-        if not corr.is_zero():
-            pieces.append((DX, corr))
-        return pieces
-    if calculus == "b4":
-        if xi == DX:
-            pieces = [(DX, xa * tp(ONE))]
-            corr = xa1.scale(_lam(-af)) * tp(Scalar(2))
-            if not corr.is_zero():
-                pieces.append((DT, corr))
-            return pieces
-        return [(DT, xa * tp(Scalar(2)))]
-    # b5
-    if xi == DX:
-        return [(DX, xa * GenPoly.monomial(0, b))]
-    pieces = [(DT, xa * tp(-ONE))]
-    corr = xa * (tp(-ONE) - GenPoly.monomial(0, b)) \
-        + xa1.scale(_lam(-af)) * GenPoly.monomial(0, b)
-    if not corr.is_zero():
-        pieces.append((DX, corr))
-    return pieces
+    state = {(xi, (a, 0)): L_ONE}
+    if a:
+        state.update(((eta, (a - 1, 0)), c * Scalar(a)) for eta, c in N[xi])
+    for _ in range(b):
+        state = accumulate(chain(
+            (((eta, (e, j + 1)), c) for (eta, (e, j)), c in state.items()),
+            (((zeta, (e, j)), c * s)
+             for (eta, (e, j)), c in state.items() for zeta, s in T[eta])))
+    return state
 
 
 def form_past_func(calculus, param, xi, f: GenPoly):
     """Normal order d(xi) . f as a map eta -> GenPoly coefficient."""
     _require_calculus(calculus)
-    out = {DX: GenPoly({}), DT: GenPoly({})}
-    for (a, b), q in f.terms.items():
-        for eta, piece in _monomial_rule(calculus, param, xi, a, b):
-            out[eta] = out[eta] + piece.scale(q)
-    return out
+    moved = accumulate(
+        (piece, q * c) for (a, b), q in f.terms.items()
+        for piece, c in _monomial_rule(calculus, param, xi, a, b).items())
+    out = {DX: {}, DT: {}}
+    for (eta, key), c in moved.items():
+        out[eta][key] = c
+    return {eta: GenPoly._nonzero(terms) for eta, terms in out.items()}
 
 
-def _push_func_left(calculus, param, word, f):
-    """Normal order (forms in word) . f as [(word', GenPoly)]."""
-    if not word:
-        return [((), f)]
-    out = []
-    moved = form_past_func(calculus, param, word[-1], f)
-    for eta in (DX, DT):
-        if moved[eta].is_zero():
-            continue
-        for w2, f2 in _push_func_left(calculus, param, word[:-1],
-                                      moved[eta]):
-            sf = _sorted_forms(w2 + (eta,))
-            if sf is None:
-                continue
-            sign, w3 = sf
-            out.append((w3, f2 if sign == ONE else -f2))
-    return out
+def _past(calculus, param, legs, f):
+    """Normal order d(legs[0]) ... d(legs[-1]) . f as {legs': GenPoly},
+    moving f left through the last leg first; legs' are not sorted."""
+    state = {(): f}
+    for xi in reversed(legs):
+        state = accumulate(
+            ((eta,) + tail, g)
+            for tail, h in state.items()
+            for eta, g in form_past_func(calculus, param, xi, h).items())
+    return state
 
 
 def normal_order_localized(factors, calculus, param=None):
@@ -183,27 +174,25 @@ def normal_order_localized(factors, calculus, param=None):
             if f not in ("dx", "dt"):
                 raise ValueError(f"unknown form symbol {f!r}")
             xi = DX if f == "dx" else DT
-            state = accumulate(
-                (sf[1], coeff if sf[0] == ONE else -coeff)
-                for word, coeff in state.items()
-                if (sf := _sorted_forms(word + (xi,))) is not None)
+            pieces = ((word + (xi,), coeff) for word, coeff in state.items())
         else:
-            state = accumulate(
-                (w2, func_mul(coeff, f2))
-                for word, coeff in state.items()
-                for w2, f2 in _push_func_left(calculus, param, word, f))
+            pieces = ((legs, func_mul(coeff, g))
+                      for word, coeff in state.items()
+                      for legs, g in _past(calculus, param, word, f).items())
+        state = accumulate(
+            (sf[1], coeff if sf[0] == ONE else -coeff)
+            for legs, coeff in pieces
+            if (sf := _sorted_forms(legs)) is not None)
     return state
 
 
 def form_star(calculus, param, comps):
     """Star of a 1-form sum f_xi d(xi): result is d(xi) . f_xi*
     re-normal-ordered."""
-    out = {DX: GenPoly({}), DT: GenPoly({})}
-    for xi in (DX, DT):
-        moved = form_past_func(calculus, param, xi, func_star(comps[xi]))
-        for eta in (DX, DT):
-            out[eta] = out[eta] + moved[eta]
-    return out
+    moved = accumulate(
+        pair for xi in (DX, DT) for pair in
+        _past(calculus, param, (xi,), func_star(comps[xi])).items())
+    return {eta: moved.get((eta,), GenPoly({})) for eta in (DX, DT)}
 
 
 def one_form_u_v(calculus, param):
@@ -260,9 +249,8 @@ def _tensor(calculus, param, w1, w2, scale=None):
             f2 = w2[eta] if scale is None else w2[eta].scale(scale)
             if f2.is_zero():
                 continue
-            moved = form_past_func(calculus, param, xi, f2)
-            for zeta in (DX, DT):
-                yield (zeta, eta), func_mul(w1[xi], moved[zeta])
+            for (zeta,), g in _past(calculus, param, (xi,), f2).items():
+                yield (zeta, eta), func_mul(w1[xi], g)
 
 
 def metric_from_uv(calculus, param, c1, c2, c3) -> MetricCandidate:
@@ -329,25 +317,17 @@ def standard_metric(case: int, alpha=None, beta=None,
     raise ValueError(f"unknown metric case {case}")
 
 
+def _entries(M: MetricCandidate):
+    """(xi, eta, f) for each nonzero coefficient f of d(xi) (x) d(eta)."""
+    return [(xi, eta, f) for xi, row in zip((DX, DT), M.coefficients)
+            for eta, f in zip((DX, DT), row) if not f.is_zero()]
+
+
 def _metric_times_func(M: MetricCandidate, h: GenPoly):
     """g . h with h moved into normal order through both tensor legs."""
-
-    def pieces():
-        for xi in (DX, DT):
-            for eta in (DX, DT):
-                f = M.coefficients[xi][eta]
-                if f.is_zero():
-                    continue
-                step1 = form_past_func(M.calculus, M.param, eta, h)
-                for kappa in (DX, DT):
-                    if step1[kappa].is_zero():
-                        continue
-                    step2 = form_past_func(M.calculus, M.param, xi,
-                                           step1[kappa])
-                    for zeta in (DX, DT):
-                        yield (zeta, kappa), func_mul(f, step2[zeta])
-
-    return accumulate(pieces())
+    return accumulate(
+        (legs, func_mul(f, g)) for xi, eta, f in _entries(M)
+        for legs, g in _past(M.calculus, M.param, (xi, eta), h).items())
 
 
 def check_metric(M: MetricCandidate, with_witnesses=False):
@@ -370,24 +350,10 @@ def check_metric(M: MetricCandidate, with_witnesses=False):
     if not wedge.is_zero():
         witnesses["wedge_symmetric"].append("dx^dt")
 
-    # reality: flip(*(x)*) g = g
-    def flipped_pieces():
-        for xi in (DX, DT):
-            for eta in (DX, DT):
-                f = M.coefficients[xi][eta]
-                if f.is_zero():
-                    continue
-                # (f dxi (x) deta)* -> deta (x) dxi . f*
-                starred = form_past_func(calculus, param, xi, func_star(f))
-                for zeta in (DX, DT):
-                    if starred[zeta].is_zero():
-                        continue
-                    moved = form_past_func(calculus, param, eta,
-                                           starred[zeta])
-                    for kappa in (DX, DT):
-                        yield (kappa, zeta), moved[kappa]
-
-    flipped = accumulate(flipped_pieces())
+    # reality: flip(*(x)*) g = g, as (f dxi (x) deta)* = deta (x) dxi . f*
+    flipped = accumulate(
+        pair for xi, eta, f in _entries(M)
+        for pair in _past(calculus, param, (eta, xi), func_star(f)).items())
     for xi in (DX, DT):
         for eta in (DX, DT):
             if flipped.get((xi, eta), GenPoly({})) \

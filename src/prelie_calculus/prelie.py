@@ -73,15 +73,19 @@ def prelie_from_table(names, table):
     return PreLieProduct(n, tuple(names), Tensor((n, n, n), entries))
 
 
+def _associator(xi):
+    """The associator (x o y) o z - x o (y o z) of the product with
+    structure tensor xi, indexed (x, y, z, output)."""
+    return contract_sum([(1, "ijm,mko->ijko", xi, xi),
+                         (-1, "jkm,imo->ijko", xi, xi)])
+
+
 def check_left_symmetry(X: PreLieProduct, with_witnesses=False):
     """(x o y) o z - (y o x) o z == x o (y o z) - y o (x o z).
 
-    The associator (x o y) o z - x o (y o z) is contracted once and then
-    antisymmetrized in (x, y).
+    The associator is contracted once and then antisymmetrized in (x, y).
     """
-    xi = X.xi
-    assoc = contract_sum([(1, "ijm,mko->ijko", xi, xi),
-                          (-1, "jkm,imo->ijko", xi, xi)])
+    assoc = _associator(X.xi)
     defect = contract_sum([(1, "ijko->ijko", assoc),
                            (-1, "jiko->ijko", assoc)])
     witnesses = _leading(defect, 3)

@@ -283,11 +283,20 @@ class TestCommandPath:
             raise AssertionError("a check ran before the work was bounded")
         monkeypatch.setattr(cli, "check_first_order", no_work)
         code, out, err = run(capsys, "calculus", "--instance", "b4",
-                             "--instance", "su2-dual-prelie", "--max-len", "7")
+                             "--instance", "su2-dual-prelie",
+                             "--max-len", "13")
         assert (code, out) == (2, "")
-        assert err == ("error: su2-dual-prelie: calculus at --max-len 7 "
-                       "would check 1477 Leibniz pairs, over the limit of "
-                       f"{cli.MAX_LEIBNIZ_PAIRS}\n")
+        assert err == ("error: su2-dual-prelie: calculus at --max-len 13 "
+                       "would differentiate 560 PBW words, over the limit of "
+                       f"{cli.MAX_PBW_WORDS}\n")
+
+    def test_long_dim2_run_is_admitted(self, capsys):
+        """The bound counts PBW words, not the Leibniz pairs that a
+        passing run no longer sweeps: 78 words at --max-len 11."""
+        code, out, err = run(capsys, "calculus", "--instance", "b4",
+                             "--max-len", "11", "--json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["b4"]["connected"] is True
 
     def test_bad_lambda_is_rejected_before_any_work(self, capsys,
                                                     monkeypatch):

@@ -1,13 +1,16 @@
 """Source hygiene: every name a package module imports is used in that
-module or re-exported through its ``__all__``, and every private
-module-level helper is referred to somewhere in the package."""
+module or re-exported through its ``__all__``, every private
+module-level helper is referred to somewhere in the package, and every
+public method of a package class is named somewhere in the project."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "prelie_calculus"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "prelie_calculus"
 MODULES = sorted(p.name for p in SRC.glob("*.py"))
 
 
@@ -101,3 +104,48 @@ def test_no_dead_private_helpers():
 ])
 def test_dead_helper_detector(sources, expected):
     assert dead_private_helpers(sources) == expected
+
+
+def dead_public_methods(package, others=()):
+    """(module, class, method) for each public method of a module-level
+    package class that no source, of the package or among others, names
+    outside the method's own body."""
+    trees = {module: ast.parse(source) for module, source in package.items()}
+    named = Counter()
+    for tree in [*trees.values(), *map(ast.parse, others)]:
+        named.update(_names(tree, None))
+    return sorted(
+        (module, cls.name, node.name)
+        for module, tree in trees.items() for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+        and named[node.name] == Counter(_names(node, None))[node.name])
+
+
+def test_no_dead_public_methods():
+    package = {module: (SRC / module).read_text() for module in MODULES}
+    others = [path.read_text() for folder in ("tests", "perfbench")
+              for path in sorted((ROOT / folder).rglob("*.py"))]
+    assert dead_public_methods(package, others) == []
+
+
+CLASS_F = "class C:\n    def f(self):\n        pass\n"
+
+
+@pytest.mark.parametrize("package, others, expected", [
+    ({"a": CLASS_F}, [], [("a", "C", "f")]),
+    ({"a": CLASS_F + "C().f()\n"}, [], []),
+    ({"a": CLASS_F, "b": "from a import C\nC.f\n"}, [], []),
+    ({"a": CLASS_F}, ["c.f()\n"], []),
+    ({"a": "class C:\n    def f(self):\n        return self.f()\n"}, [],
+     [("a", "C", "f")]),
+    ({"a": CLASS_F + "    def g(self):\n        return self.f()\n"}, [],
+     [("a", "C", "g")]),
+    ({"a": "class C:\n    def _f(self):\n        pass\n"}, [], []),
+    ({"a": "class C:\n    def __len__(self):\n        return 0\n"}, [], []),
+    ({"a": "def g():\n" + "".join("    " + line + "\n"
+                                 for line in CLASS_F.splitlines())}, [], []),
+])
+def test_dead_method_detector(package, others, expected):
+    assert dead_public_methods(package, others) == expected

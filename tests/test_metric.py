@@ -4,12 +4,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
+from prelie_calculus import metric
+from prelie_calculus.catalog import b_family, b_lie
+from prelie_calculus.dga import FormElement, form_mul
 from prelie_calculus.exact_core import (
     GenPoly,
     LambdaScalar,
     ONE,
     RatFunc,
     Scalar,
+    Tensor,
     ZERO,
     ratfunc_equal,
 )
@@ -28,6 +32,7 @@ from prelie_calculus.metric import (
     scalar_curvature_classical,
     standard_metric,
 )
+from prelie_calculus.prelie import PreLieProduct
 
 L = LambdaScalar((ZERO, ONE))
 X = GenPoly.monomial(1, 0)
@@ -72,7 +77,7 @@ class TestNormalOrder:
         assert r == {(): gp({(-1, 1): ONE, (-1, 0): L})}
 
     def test_integer_power_induction_oracle(self):
-        """Closed-form exponent shifts agree with moving one generator
+        """The one-step rule past x^a agrees with moving one generator
         at a time, for integer exponents a in [-4, 4]."""
         xinv = gp({(-1, 0): ONE})
         for calc, param in ALL_CALCULI:
@@ -120,6 +125,166 @@ class TestNormalOrder:
         for _ in range(20):
             a, b, c = rand_poly(), rand_poly(), rand_poly()
             assert func_mul(func_mul(a, b), c) == func_mul(a, func_mul(b, c))
+
+
+def shifted_t_power(b, shift):
+    """(t + shift*lambda)^b expanded exactly."""
+    out = GenPoly.const(1)
+    for _ in range(b):
+        out = out * (T + GenPoly.const(LambdaScalar((ZERO, shift))))
+    return out
+
+
+def reference_monomial_rule(calculus, param, xi, a, b):
+    """The closed forms of d(xi) . x^a t^b, one per family, as
+    {(eta, (a', j)): coefficient}."""
+    xa, xa1 = GenPoly.monomial(a, 0), GenPoly.monomial(a - 1, 0)
+    lam_a = LambdaScalar((ZERO, -Scalar(a)))
+    tb = GenPoly.monomial(0, b)
+
+    def tp(shift):
+        return shifted_t_power(b, shift)
+
+    if calculus == "b1":
+        alpha = Scalar(param)
+        pieces = [(DX, xa * tp(ONE))] if xi == DX \
+            else [(DT, xa * tp(-alpha))]
+    elif calculus == "b2":
+        beta = Scalar(param)
+        pieces = [(DX, xa * tp(ONE - beta))] if xi == DX else [
+            (DT, xa * tp(-beta)),
+            (DX, xa1.scale(lam_a * beta) * tp(ONE - beta))]
+    elif calculus == "b4":
+        pieces = [(DT, xa * tp(Scalar(2)))] if xi == DT else [
+            (DX, xa * tp(ONE)), (DT, xa1.scale(lam_a) * tp(Scalar(2)))]
+    else:
+        pieces = [(DX, xa * tb)] if xi == DX else [
+            (DT, xa * tp(-ONE)),
+            (DX, xa * (tp(-ONE) - tb) + xa1.scale(lam_a) * tb)]
+    out = {}
+    for eta, f in pieces:
+        for key, q in f.terms.items():
+            out[eta, key] = out.get((eta, key), LambdaScalar(0)) + q
+    return {k: q for k, q in out.items() if not q.is_zero()}
+
+
+def flat(moved):
+    """form_past_func's map eta -> GenPoly as {(eta, (a, b)): coefficient}."""
+    return {(eta, key): q for eta, f in moved.items()
+            for key, q in f.terms.items()}
+
+
+FAMILIES = [("b1", Fraction(3)), ("b1", Fraction(-2, 3)),
+            ("b2", Fraction(2)), ("b2", Fraction(-1, 2)),
+            ("b4", None), ("b5", None)]
+
+
+class TestFormRuleFromXi:
+    @pytest.mark.parametrize("calc, param", FAMILIES)
+    def test_matches_dga_form_mul(self, calc, param):
+        """d(xi) . x^a t^b agrees with dga's product of d(xi) with the
+        PBW word x^a t^b over b, for a, b <= 3: two modules, one rule."""
+        prelie, lie = b_family(calc, param), b_lie()
+        for xi in (DX, DT):
+            dxi = FormElement.d_generator(2, xi)
+            for a in range(4):
+                for b in range(4):
+                    word = (0,) * a + (1,) * b
+                    got = form_mul(dxi, FormElement(2, {(word, ()): 1}),
+                                   lie, prelie)
+                    expect = {
+                        (forms[0], (Fraction(w.count(0)), w.count(1))): q
+                        for (w, forms), q in got.terms.items()}
+                    assert flat(form_past_func(
+                        calc, param, xi, GenPoly.monomial(a, b))) == expect
+
+    @pytest.mark.parametrize("calc, param", FAMILIES)
+    def test_two_form_matches_dga_form_mul(self, calc, param):
+        """dx ^ dt . x^a t^b agrees with dga's product for a, b <= 2: the
+        function passes dt first, then dx."""
+        prelie, lie = b_family(calc, param), b_lie()
+        area = FormElement(2, {((), (DX, DT)): 1})
+        for a in range(3):
+            for b in range(3):
+                word = (0,) * a + (1,) * b
+                got = form_mul(area, FormElement(2, {(word, ()): 1}),
+                               lie, prelie)
+                expect = {}
+                for (w, forms), q in got.terms.items():
+                    expect.setdefault(forms, {})[w.count(0), w.count(1)] = q
+                expect = {forms: GenPoly(f) for forms, f in expect.items()}
+                assert normal_order_localized(
+                    ["dx", "dt", GenPoly.monomial(a, b)], calc,
+                    param) == expect
+
+    @pytest.mark.parametrize("calc, param", ALL_CALCULI)
+    def test_tensor_legs_pass_last_leg_first(self, calc, param):
+        """(d(xi) (x) d(eta)) . h = d(xi) (x) (d(eta) . h), leg by leg."""
+        h = GenPoly({(Fraction(-3, 2), 2): ONE, (Fraction(1), 1): L})
+        for xi in (DX, DT):
+            for eta in (DX, DT):
+                expect = {}
+                for kappa, g in form_past_func(calc, param, eta, h).items():
+                    moved = form_past_func(calc, param, xi, g)
+                    expect.update({(zeta, kappa): f
+                                   for zeta, f in moved.items()
+                                   if not f.is_zero()})
+                assert metric._past(calc, param, (xi, eta), h) == expect
+
+    @pytest.mark.parametrize("calc", ["b1", "b2", "b4", "b5"])
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_matches_closed_forms(self, calc, data):
+        """Rational exponents a, b <= 5 and, for b1 and b2, a drawn
+        parameter: the rule read off Xi equals the closed forms."""
+        rational = st.fractions(min_value=-5, max_value=5,
+                                max_denominator=7)
+        param = None
+        if calc in ("b1", "b2"):
+            param = data.draw(rational.filter(lambda p: p != 0))
+        a = data.draw(rational)
+        b = data.draw(st.integers(0, 5))
+        xi = data.draw(st.sampled_from((DX, DT)))
+        q = LambdaScalar((Scalar(Fraction(3, 2), 1), ONE))
+        got = form_past_func(calc, param, xi, GenPoly({(a, b): q}))
+        assert flat(got) == {
+            k: q * c for k, c in
+            reference_monomial_rule(calc, param, xi, a, b).items()}
+
+    @pytest.mark.parametrize("calc, param", FAMILIES)
+    def test_x_matrix_squares_to_zero(self, calc, param):
+        """N[xi][eta] = -lambda Xi[x, xi, eta] and N^2 = 0, which makes
+        the one-step rule past x^a exact for rational a."""
+        N, _ = metric._commutation(calc, param)
+        mat = [[dict(row).get(eta, LambdaScalar(0)) for eta in (DX, DT)]
+               for row in N]
+        xi = b_family(calc, param).xi
+        assert mat == [[LambdaScalar((ZERO, -xi.get(0, f, e)))
+                        for e in (DX, DT)] for f in (DX, DT)]
+        assert all((mat[i][0] * mat[0][k] + mat[i][1] * mat[1][k]).is_zero()
+                   for i in (DX, DT) for k in (DX, DT))
+
+    @pytest.mark.parametrize("calc, param", ALL_CALCULI)
+    @pytest.mark.parametrize("entry", [(i, j, k) for i in (0, 1)
+                                       for j in (0, 1) for k in (0, 1)])
+    def test_mutated_xi_changes_the_rule(self, monkeypatch, calc, param,
+                                         entry):
+        """Adding 1 to any one entry Xi[i, j, k] changes d(j) . x^2 t^2:
+        the rule reads every entry of the family's Xi."""
+        f = GenPoly.monomial(2, 2)
+        before = form_past_func(calc, param, entry[1], f)
+        family = b_family(calc, param)
+        entries = dict(family.xi.entries)
+        entries[entry] = entries.get(entry, ZERO) + ONE
+        mutant = PreLieProduct(2, family.basis_names,
+                               Tensor((2, 2, 2), entries))
+        with monkeypatch.context() as m:
+            m.setattr(metric, "b_family", lambda *args: mutant)
+            metric._commutation.cache_clear()
+            after = form_past_func(calc, param, entry[1], f)
+        metric._commutation.cache_clear()
+        assert after != before
+        assert form_past_func(calc, param, entry[1], f) == before
 
 
 class TestStar:
