@@ -64,6 +64,12 @@ USAGE_ERROR, CHECK_FAILED, SCHEMA_ERROR = 2, 1, 3
 # takes 2.8 s on a 2-vCPU machine under Python 3.11; dense dim-4 at
 # --max-len 8 (495 words) takes 1.7 s and b4 at --max-len 30 about 1 s
 MAX_PBW_WORDS = 500
+# and any run with words longer than this: a word of length n carries
+# lambda-polynomials of degree up to n, so the cost per word grows with
+# n and the word count alone does not bound dim 1 (x o x = x takes
+# 0.5 s at --max-len 100, 3.3 s at 200 and 41 s at 499).  Dim 2 meets
+# the word limit at this length too
+MAX_WORD_LEN = 30
 
 
 class SchemaError(Exception):
@@ -372,6 +378,10 @@ def _calculus_bound(entries, args):
                 f"{entry['id']}: calculus at --max-len {args.max_len} would "
                 f"differentiate {words} PBW words, over the limit of "
                 f"{MAX_PBW_WORDS}")
+    if args.max_len > MAX_WORD_LEN:
+        raise UsageError(
+            f"calculus at --max-len {args.max_len} would differentiate "
+            f"words longer than the limit of {MAX_WORD_LEN}")
 
 
 def _groupdga_report(entry, args):

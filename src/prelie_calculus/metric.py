@@ -189,10 +189,12 @@ def normal_order_localized(factors, calculus, param=None):
 def form_star(calculus, param, comps):
     """Star of a 1-form sum f_xi d(xi): result is d(xi) . f_xi*
     re-normal-ordered."""
-    moved = accumulate(
-        pair for xi in (DX, DT) for pair in
-        _past(calculus, param, (xi,), func_star(comps[xi])).items())
-    return {eta: moved.get((eta,), GenPoly({})) for eta in (DX, DT)}
+    out = {DX: GenPoly({}), DT: GenPoly({})}
+    for xi in (DX, DT):
+        moved = form_past_func(calculus, param, xi, func_star(comps[xi]))
+        for eta in (DX, DT):
+            out[eta] = out[eta] + moved[eta]
+    return out
 
 
 def one_form_u_v(calculus, param):
@@ -249,8 +251,9 @@ def _tensor(calculus, param, w1, w2, scale=None):
             f2 = w2[eta] if scale is None else w2[eta].scale(scale)
             if f2.is_zero():
                 continue
-            for (zeta,), g in _past(calculus, param, (xi,), f2).items():
-                yield (zeta, eta), func_mul(w1[xi], g)
+            moved = form_past_func(calculus, param, xi, f2)
+            for zeta in (DX, DT):
+                yield (zeta, eta), func_mul(w1[xi], moved[zeta])
 
 
 def metric_from_uv(calculus, param, c1, c2, c3) -> MetricCandidate:

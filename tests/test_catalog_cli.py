@@ -290,6 +290,31 @@ class TestCommandPath:
                        "would differentiate 560 PBW words, over the limit of "
                        f"{cli.MAX_PBW_WORDS}\n")
 
+    def test_long_words_are_refused_in_dim_1(self, capsys, tmp_path,
+                                             monkeypatch):
+        """Dim 1 has max-len + 1 words, so the word count alone would
+        admit x o x = x at --max-len 499, a 40 s run."""
+        def no_work(*args, **kwargs):
+            raise AssertionError("a check ran before the work was bounded")
+        monkeypatch.setattr(cli, "check_first_order", no_work)
+        path = _write(tmp_path, {"id": "line", "kind": "prelie", "payload": {
+            "dim": 1, "xi": [[0, 0, 0, 1, 1, 0, 1]]}})
+        code, out, err = run(capsys, "calculus", "--instance-file", path,
+                             "--max-len", str(cli.MAX_WORD_LEN + 1))
+        assert (code, out) == (2, "")
+        assert err == (f"error: calculus at --max-len {cli.MAX_WORD_LEN + 1} "
+                       "would differentiate words longer than the limit of "
+                       f"{cli.MAX_WORD_LEN}\n")
+
+    def test_longest_dim1_run_is_admitted(self, capsys, tmp_path):
+        path = _write(tmp_path, {"id": "line", "kind": "prelie", "payload": {
+            "dim": 1, "xi": [[0, 0, 0, 1, 1, 0, 1]]}})
+        code, out, err = run(capsys, "calculus", "--instance-file", path,
+                             "--max-len", str(cli.MAX_WORD_LEN), "--json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["line"] == {
+            "connected": True, "first_order": True, "kernel_dimension": 1}
+
     def test_long_dim2_run_is_admitted(self, capsys):
         """The bound counts PBW words, not the Leibniz pairs that a
         passing run no longer sweeps: 78 words at --max-len 11."""
