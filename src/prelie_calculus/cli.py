@@ -27,7 +27,7 @@ from .constructions import (
 )
 from .dga import check_first_order, kernel_of_d
 from .exact_core import Scalar, Tensor, ratfunc_equal
-from .group_dga import GroupDGAData, build_group_dga, check_group_dga
+from .group_dga import GroupDGA, GroupDGAData, check_group_dga
 from .liebialg import (
     LieAlgebra,
     LieBialgebra,
@@ -70,6 +70,12 @@ MAX_PBW_WORDS = 500
 # 0.5 s at --max-len 100, 3.3 s at 200 and 41 s at 499).  Dim 2 meets
 # the word limit at this length too
 MAX_WORD_LEN = 30
+# `groupdga`, and `check` on a group_dga instance, apply d twice to each
+# monomial alpha^A g of a group of order s on n points with |A| up to
+# min(--max-len, this): about s * C(n + L, L) of them, so without a cap
+# the run grows with --max-len (groupdga-s3 takes 21 ms at L = 3 and
+# 123 ms at L = 7 on a 2-vCPU machine under Python 3.11)
+GROUP_DGA_MAX_LEN = 3
 
 
 class SchemaError(Exception):
@@ -207,7 +213,7 @@ def _parse_group_dga(payload):
                      for row in payload["action"]),
         theta=theta)
     try:
-        return build_group_dga(data)
+        return GroupDGA(data)
     except ValueError as exc:
         raise SchemaError(str(exc))
 
@@ -280,7 +286,7 @@ def _check_instance(entry, max_len):
     elif kind == "metric":
         report.update(check_metric(obj))
     elif kind == "group_dga":
-        rep = check_group_dga(obj, max_len=min(max_len, 3))
+        rep = check_group_dga(obj, max_len=min(max_len, GROUP_DGA_MAX_LEN))
         report["passed"] = rep["passed"]
         report["warnings"] = len(rep["warnings"])
     return report
@@ -385,7 +391,8 @@ def _calculus_bound(entries, args):
 
 
 def _groupdga_report(entry, args):
-    rep = check_group_dga(entry["build"](), max_len=min(args.max_len, 3))
+    rep = check_group_dga(entry["build"](),
+                          max_len=min(args.max_len, GROUP_DGA_MAX_LEN))
     return {"passed": rep["passed"], "warnings": sorted(rep["warnings"])}
 
 

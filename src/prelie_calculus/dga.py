@@ -28,7 +28,6 @@ from .exact_core import (
     _lambda,
     _sorted_forms,
     accumulate,
-    linear_kernel,
 )
 from .liebialg import LieAlgebra, basis_vec
 from .prelie import PreLieProduct
@@ -467,30 +466,16 @@ def kernel_of_d(m: LieAlgebra, prelie: PreLieProduct, n: int,
     """Kernel of d on the PBW filtration level U_n at a numeric lambda.
 
     Returns the kernel dimension, the word basis of U_n and kernel
-    vectors in that basis; a connected calculus has dimension 1.  The
-    triangular certificate of _connected proves that answer without
-    elimination; the matrix is reduced only when it fails.
+    vectors in that basis.  The kernel is the constants for every
+    product and every lambda (README); the triangular certificate of
+    _connected checks that on this d table, and a table that fails it
+    is an internal error.
     """
     lam = lambda_value if isinstance(lambda_value, Scalar) \
         else Scalar(Fraction(lambda_value))
-    dim = m.dim
-    words = list(_pbw_words(dim, n))
-    calc = _Calculus(prelie)
-    if _connected(calc, words, lam):
-        return {"dimension": 1, "words": words,
-                "kernel": [[ONE] + [ZERO] * (len(words) - 1)]}
-    col = {w: i for i, w in enumerate(words)}
-    rows = {}
-    for w in words:
-        for (pw, forms), c in calc.d_word(w).items():
-            val = c.evaluate(lam)
-            if val.is_zero():
-                continue
-            rkey = (pw, forms)
-            row = rows.setdefault(rkey, [ZERO] * len(words))
-            row[col[w]] = row[col[w]] + val
-    matrix = list(rows.values())
-    if not matrix:
-        matrix = [[ZERO] * len(words)]
-    kernel = linear_kernel(matrix)
-    return {"dimension": len(kernel), "words": words, "kernel": kernel}
+    words = list(_pbw_words(m.dim, n))
+    if not _connected(_Calculus(prelie), words, lam):
+        raise AssertionError(
+            f"d table fails the connectedness certificate at n = {n}")
+    return {"dimension": 1, "words": words,
+            "kernel": [[ONE] + [ZERO] * (len(words) - 1)]}

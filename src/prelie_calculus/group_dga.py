@@ -21,7 +21,8 @@ and d(g) = g (g^{-1}|>theta - theta), d(alpha_i) = y_i.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, product as iproduct
+from itertools import chain, combinations_with_replacement, \
+    product as iproduct
 from math import comb
 
 from .exact_core import ONE, Scalar, ZERO, _sorted_forms, accumulate, \
@@ -30,9 +31,7 @@ from .exact_core import ONE, Scalar, ZERO, _sorted_forms, accumulate, \
 __all__ = [
     "GroupDGAData",
     "GroupDGA",
-    "build_group_dga",
     "check_group_dga",
-    "trivial_instance",
     "z2_instance",
     "s3_instance",
 ]
@@ -281,24 +280,36 @@ class GroupDGA:
         return npsi, [ZERO] * self.n
 
 
-def build_group_dga(data: GroupDGAData) -> GroupDGA:
-    return GroupDGA(data)
-
-
 def _pair_is_zero(pair):
     return all(v.is_zero() for v in pair[0]) \
         and all(v.is_zero() for v in pair[1])
 
 
+def _monomials(dga, max_len):
+    """(A, g) for each monomial alpha^A g with |A| + [g != e] <= max_len:
+    exactly the monomials that products of 1 to max_len alphas and
+    group elements reduce to, for max_len >= 1."""
+    for g in range(dga.size):
+        for total in range(max_len - (g != dga.identity) + 1):
+            for picks in combinations_with_replacement(range(dga.n), total):
+                yield tuple(map(picks.count, range(dga.n))), g
+
+
 def check_group_dga(dga: GroupDGA, max_len=3, with_witnesses=False):
     """Consistency report for a built group DGA.
 
-    Verifies d^2 = 0 and graded Leibniz on all products of at most
-    max_len generators (alphas, group elements and form generators),
-    the commutation rule [alpha_i, d alpha_j] = delta_ij d alpha_i as a
-    rewrite consequence, the omega-tilde right-module property on
-    generator pairs (including well-definedness of g.alpha_j), and
-    surjectivity of omega on the group elements (warning only).
+    Verifies d^2 = 0 on every product of at most max_len alphas and
+    group elements, graded Leibniz on generator pairs (alphas, group
+    elements and form generators), the commutation rule
+    [alpha_i, d alpha_j] = delta_ij d alpha_i as a rewrite consequence,
+    the omega-tilde right-module property on generator pairs (including
+    well-definedness of g.alpha_j), and surjectivity of omega on the
+    group elements (warning only).
+
+    With no forms to move, such a product is always one monomial
+    alpha^A g with coefficient 1, and d is linear, so d^2 is applied
+    once to each distinct monomial (_monomials); the d_squared
+    witnesses are the failing (A, g).
     """
     witnesses = {"d_squared": [], "leibniz": [], "alpha_form": [],
                  "omega_module": [], "omega_welldef": []}
@@ -315,19 +326,9 @@ def check_group_dga(dga: GroupDGA, max_len=3, with_witnesses=False):
             return dga.group(idx)
         return dga.form(idx)
 
-    def products(depth):
-        if depth == 1:
-            for lab in gens0:
-                yield (lab,), build(lab)
-            return
-        for labs, elem in products(depth - 1):
-            for lab in gens0:
-                yield labs + (lab,), dga.mul(elem, build(lab))
-
-    for depth in range(1, max_len + 1):
-        for labs, elem in products(depth):
-            if not dga.is_zero(dga.d(dga.d(elem))):
-                witnesses["d_squared"].append(labs)
+    for A, g in _monomials(dga, max_len):
+        if not dga.is_zero(dga.d(dga.d({(A, g, ()): ONE}))):
+            witnesses["d_squared"].append((A, g))
 
     # graded Leibniz on pairs of generators including forms
     gens = gens0 + [("form", f) for f in range(2 * dga.n)]
@@ -405,15 +406,9 @@ def check_group_dga(dga: GroupDGA, max_len=3, with_witnesses=False):
     return report
 
 
-def trivial_instance() -> GroupDGA:
-    """Trivial group on one point with theta = x_1."""
-    return build_group_dga(GroupDGAData(
-        cayley=((0,),), action=((0,),), theta=(ONE,)))
-
-
 def z2_instance() -> GroupDGA:
     """Z_2 swapping two points, theta = x_1."""
-    return build_group_dga(GroupDGAData(
+    return GroupDGA(GroupDGAData(
         cayley=((0, 1), (1, 0)),
         action=((0, 1), (1, 0)),
         theta=(ONE, ZERO),
@@ -431,5 +426,5 @@ def s3_instance() -> GroupDGA:
         tuple(lookup[tuple(p[q[i]] for i in range(3))] for q in perms)
         for p in perms
     )
-    return build_group_dga(GroupDGAData(
+    return GroupDGA(GroupDGAData(
         cayley=cayley, action=tuple(perms), theta=(ONE, ZERO, ZERO)))

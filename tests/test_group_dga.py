@@ -1,25 +1,35 @@
+import inspect
+import textwrap
+
 import pytest
 
+from prelie_calculus import cli, group_dga
 from prelie_calculus.exact_core import ONE, Scalar, ZERO
 from prelie_calculus.group_dga import (
+    GroupDGA,
     GroupDGAData,
-    build_group_dga,
+    _monomials,
     check_group_dga,
     s3_instance,
-    trivial_instance,
     z2_instance,
 )
+
+
+def trivial_instance() -> GroupDGA:
+    """Trivial group on one point with theta = x_1."""
+    return GroupDGA(GroupDGAData(
+        cayley=((0,),), action=((0,),), theta=(ONE,)))
 
 
 class TestValidation:
     def test_non_group_table_rejected(self):
         # {0,1} with absorbing 1 is a monoid without inverses
         with pytest.raises(ValueError, match="inverse"):
-            build_group_dga(GroupDGAData(
+            GroupDGA(GroupDGAData(
                 cayley=((0, 1), (1, 1)), action=((0,), (0,)), theta=(ONE,)))
         # a genuinely non-associative table
         with pytest.raises(ValueError, match="associative"):
-            build_group_dga(GroupDGAData(
+            GroupDGA(GroupDGAData(
                 cayley=((0, 1, 2), (1, 2, 0), (2, 1, 0)),
                 action=((0,), (0,), (0,)), theta=(ONE,)))
 
@@ -27,14 +37,14 @@ class TestValidation:
         # Z2 where the non-identity element acts trivially is fine, but
         # an "action" that is not multiplicative must be refused
         with pytest.raises(ValueError, match="homomorphism|identity"):
-            build_group_dga(GroupDGAData(
+            GroupDGA(GroupDGAData(
                 cayley=((0, 1), (1, 0)),
                 action=((1, 0), (0, 1)),
                 theta=(ONE, ZERO)))
 
     def test_bad_permutation_rejected(self):
         with pytest.raises(ValueError, match="permutation"):
-            build_group_dga(GroupDGAData(
+            GroupDGA(GroupDGAData(
                 cayley=((0,),), action=((1, 1),), theta=(ONE, ZERO)))
 
 
@@ -111,7 +121,7 @@ class TestZ2:
         assert not rep["warnings"]
 
     def test_invariant_theta_warns(self):
-        bad = build_group_dga(GroupDGAData(
+        bad = GroupDGA(GroupDGAData(
             cayley=((0, 1), (1, 0)),
             action=((0, 1), (1, 0)),
             theta=(ONE, ONE)))
@@ -180,3 +190,123 @@ class TestAlgebra:
         dga = s3_instance()
         e = dga.mul(dga.mul(dga.alpha(0), dga.alpha(0)), dga.group(2))
         assert dga.is_zero(dga.d(dga.d(e)))
+
+
+def label_products(dga, max_len):
+    """Every product of 1 to max_len alphas and group elements with its
+    generator labels, built left to right."""
+    gens0 = [(("alpha", i), dga.alpha(i)) for i in range(dga.n)] \
+        + [(("group", g), dga.group(g)) for g in range(dga.size)]
+
+    def products(depth):
+        if depth == 1:
+            for lab, elem in gens0:
+                yield (lab,), elem
+            return
+        for labs, elem in products(depth - 1):
+            for lab, gen in gens0:
+                yield labs + (lab,), dga.mul(elem, gen)
+
+    for depth in range(1, max_len + 1):
+        yield from products(depth)
+
+
+def reference_d_squared(dga, max_len):
+    """The d^2 check by the label sweep: the labels of every product of
+    at most max_len degree-0 generators whose d^2 is not zero."""
+    return [labs for labs, elem in label_products(dga, max_len)
+            if not dga.is_zero(dga.d(dga.d(elem)))]
+
+
+def mutate(monkeypatch, method, old, new):
+    """Replace GroupDGA.<method> by its source with old, which must
+    occur once, replaced by new."""
+    source = textwrap.dedent(inspect.getsource(getattr(GroupDGA, method)))
+    assert source.count(old) == 1
+    namespace = {}
+    exec(source.replace(old, new), vars(group_dga), namespace)
+    monkeypatch.setattr(GroupDGA, method, namespace[method])
+
+
+# one mutant per witness list, with the s3 witness counts at max-len 3
+MUTANTS = {
+    "d_sign": (("_d_pieces", "c * coeff * sign", "c * coeff"),
+               {"d_squared": 53, "leibniz": 42}),
+    "binomial_sign": (("_mul_pieces", "(-1) ** m", "(-1) ** (m + 1)"),
+                      {"alpha_form": 3, "leibniz": 3}),
+    "omega_sign": (("omega_tilde", "(-1) ** (A[i] - 1)", "(-1) ** A[i]"),
+                   {"omega_welldef": 18}),
+    "action_sign": (("crossed_action", "(-1) ** sum(A)",
+                     "(-1) ** (sum(A) + 1)"),
+                    {"omega_module": 3}),
+}
+INSTANCES = {"trivial": trivial_instance, "z2": z2_instance,
+             "s3": s3_instance}
+
+
+class TestDSquaredCertificate:
+    """d^2 is applied once to each monomial alpha^A g that a product of
+    at most max_len alphas and group elements reduces to; the label
+    sweep is the oracle."""
+
+    @pytest.mark.parametrize("build, monomials, products", [
+        (z2_instance, 16, 84), (s3_instance, 70, 819)])
+    def test_products_are_the_monomials(self, build, monomials, products):
+        dga = build()
+        keys = set(_monomials(dga, 3))
+        assert len(keys) == len(list(_monomials(dga, 3))) == monomials
+        seen = set()
+        for count, (_, elem) in enumerate(label_products(dga, 3), 1):
+            (key, c), = elem.items()
+            assert c == ONE and key[2] == ()
+            seen.add(key[:2])
+        assert count == products and seen == keys
+
+    def test_d_runs_once_per_monomial(self, monkeypatch):
+        calls = []
+        true_d = GroupDGA.d
+
+        def d(dga, a):
+            calls.append(a)
+            return true_d(dga, a)
+
+        monkeypatch.setattr(GroupDGA, "d", d)
+        dga = s3_instance()
+        check_group_dga(dga, max_len=3)
+        # d twice per monomial, three times per Leibniz generator pair
+        generators = dga.n + dga.size + 2 * dga.n
+        assert len(calls) == 2 * 70 + 3 * generators ** 2
+
+    @pytest.mark.parametrize("mutant", [None, *MUTANTS])
+    @pytest.mark.parametrize("max_len", [1, 2, 3])
+    @pytest.mark.parametrize("name", INSTANCES)
+    def test_certificate_matches_sweep(self, monkeypatch, name, max_len,
+                                       mutant):
+        """The failing monomials are those of the failing products, so
+        the certificate fails exactly when the sweep does."""
+        if mutant:
+            mutate(monkeypatch, *MUTANTS[mutant][0])
+        dga = INSTANCES[name]()
+        rep = check_group_dga(dga, max_len=max_len, with_witnesses=True)
+        failing = set(reference_d_squared(dga, max_len))
+        assert set(rep["witnesses"]["d_squared"]) == {
+            next(iter(elem))[:2]
+            for labs, elem in label_products(dga, max_len)
+            if labs in failing}
+
+
+class TestMutants:
+    @pytest.mark.parametrize("mutant", MUTANTS)
+    def test_mutant_fills_its_witness_lists(self, monkeypatch, mutant):
+        change, expected = MUTANTS[mutant]
+        mutate(monkeypatch, *change)
+        rep = check_group_dga(s3_instance(), max_len=3, with_witnesses=True)
+        assert not rep["passed"]
+        assert {k: len(v) for k, v in rep["witnesses"].items() if v} \
+            == expected
+
+    def test_cli_exits_1_under_a_mutant(self, monkeypatch, capsys):
+        mutate(monkeypatch, *MUTANTS["d_sign"][0])
+        assert cli.main(["groupdga", "--instance", "groupdga-s3",
+                         "--json"]) == 1
+        assert '"passed": false' in capsys.readouterr().out
