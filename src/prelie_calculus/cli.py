@@ -12,6 +12,7 @@ or stdout is not a terminal.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -25,7 +26,7 @@ from .constructions import (
     check_cotangent_bicovariance,
     xi_action_on_g,
 )
-from .dga import check_first_order, kernel_of_d
+from .dga import check_calculus
 from .exact_core import Scalar, Tensor, ratfunc_equal
 from .group_dga import GroupDGA, GroupDGAData, check_group_dga
 from .liebialg import (
@@ -369,8 +370,7 @@ def _calculus_report(entry, args):
     lie, _ = _prelie_context(entry, obj)
     if lie is None:
         lie = _precondition(induced_bracket, obj)
-    first = check_first_order(lie, obj, max_len=args.max_len)
-    kernel = kernel_of_d(lie, obj, args.max_len, args.lam)
+    first, kernel = check_calculus(lie, obj, args.max_len, args.lam)
     return {"first_order": bool(first),
             "kernel_dimension": kernel["dimension"],
             "connected": kernel["dimension"] == 1}
@@ -563,8 +563,13 @@ def build_parser():
     return parser
 
 
+# main parses with one parser per process: building it costs about
+# 1.5 ms, and parse_args leaves no state in it
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None):
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.command is None:
         parser.print_usage(sys.stderr)

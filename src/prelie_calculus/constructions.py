@@ -32,7 +32,6 @@ from .liebialg import (
 )
 from .prelie import (
     PreLieProduct,
-    _associator,
     _delta_gstar,
     _xi_ass_terms,
     _xi_con_terms,
@@ -151,7 +150,11 @@ def _check_commutative(X: PreLieProduct):
 
 
 def check_associative(X: PreLieProduct, with_witnesses=False):
-    witnesses = _leading(_associator(X.xi), 3)
+    """(x o y) o z == x o (y o z)."""
+    xi = X.xi
+    defect = contract_sum([(1, "ijm,mko->ijko", xi, xi),
+                           (-1, "jkm,imo->ijko", xi, xi)])
+    witnesses = _leading(defect, 3)
     if with_witnesses:
         return {"associative": not witnesses, "witnesses": witnesses}
     return not witnesses

@@ -43,6 +43,7 @@ __all__ = [
     "exterior_d",
     "check_first_order",
     "kernel_of_d",
+    "check_calculus",
 ]
 
 
@@ -171,7 +172,9 @@ class _Calculus:
     """Memo tables for the calculus of one pre-Lie product and, for
     products, its Lie algebra m: omega and d of each PBW word, the normal
     form of each word and forms moved past each word.  Each public call
-    builds its own instance, so no table outlives the call."""
+    builds its own instance, so no table outlives the call; a calculus
+    job, check_calculus, shares its one instance between the first-order
+    and the connectedness check."""
 
     def __init__(self, prelie: PreLieProduct, m: LieAlgebra = None):
         self.prelie = prelie
@@ -409,10 +412,14 @@ def check_first_order(m: LieAlgebra, prelie: PreLieProduct, max_len=4,
     pairs checked and the failing ones listed under "leibniz"; (P)
     fails exactly when one of them does.
     """
-    n = m.dim
-    if prelie.dim != n:
+    if prelie.dim != m.dim:
         raise ValueError("dimension mismatch")
-    calc = _Calculus(prelie, m)
+    return _first_order(_Calculus(prelie, m), max_len, with_witnesses)
+
+
+def _first_order(calc, max_len, with_witnesses=False):
+    """The body of check_first_order, on the tables of calc."""
+    n = calc.prelie.dim
     generators = [(x, y) for x in range(n) for y in range(x + 1, n)]
     witnesses = {
         "leibniz": [],
@@ -471,11 +478,28 @@ def kernel_of_d(m: LieAlgebra, prelie: PreLieProduct, n: int,
     _connected checks that on this d table, and a table that fails it
     is an internal error.
     """
+    return _kernel(_Calculus(prelie, m), n, lambda_value)
+
+
+def _kernel(calc, n, lambda_value):
+    """The body of kernel_of_d, on the d table of calc."""
     lam = lambda_value if isinstance(lambda_value, Scalar) \
         else Scalar(Fraction(lambda_value))
-    words = list(_pbw_words(m.dim, n))
-    if not _connected(_Calculus(prelie), words, lam):
+    words = list(_pbw_words(calc.m.dim, n))
+    if not _connected(calc, words, lam):
         raise AssertionError(
             f"d table fails the connectedness certificate at n = {n}")
     return {"dimension": 1, "words": words,
             "kernel": [[ONE] + [ZERO] * (len(words) - 1)]}
+
+
+def check_calculus(m: LieAlgebra, prelie: PreLieProduct, max_len: int,
+                   lambda_value: Scalar):
+    """The calculus verdict: the pair (check_first_order(m, prelie,
+    max_len), kernel_of_d(m, prelie, max_len, lambda_value)), read off
+    one set of tables, so that each PBW word is differentiated once."""
+    if prelie.dim != m.dim:
+        raise ValueError("dimension mismatch")
+    calc = _Calculus(prelie, m)
+    return (_first_order(calc, max_len),
+            _kernel(calc, max_len, lambda_value))

@@ -557,7 +557,7 @@ def _bucket_getter(positions):
 def _plan(spec, shapes):
     """Validated plan for an einsum-style spec such as "ijm,mko->ijko"
     over operands of the given shapes: the output shape, one set of key
-    projections per pairwise join, and the final reorder (or None)."""
+    projections per pairwise join, and the final projection (or None)."""
     lhs, arrow, out = spec.partition("->")
     ins = lhs.split(",")
     if not arrow or len(ins) != len(shapes):
@@ -589,8 +589,7 @@ def _plan(spec, shapes):
         labels = "".join(keep_l + keep_r)
     final = None
     if labels != out:
-        final = (_tuple_getter([labels.index(c) for c in out]),
-                 len(out) == len(labels))
+        final = _tuple_getter([labels.index(c) for c in out])
     return tuple(dims[c] for c in out), joins, final
 
 
@@ -612,11 +611,50 @@ def _gaussian(t, memo):
     return den, entries
 
 
+@lru_cache(maxsize=1024)
+def _canonical(spec):
+    """A valid spec with its labels renamed in order of first occurrence
+    and its output labels in that order, and the key projection from the
+    canonical output to spec's own (None when they agree).  Specs that
+    differ only in label names and output order, such as
+    "ijm,mko->ijko" and "jim,mko->ijko", share one canonical spec."""
+    lhs, _, out = spec.partition("->")
+    names = {}
+    for label in lhs.replace(",", ""):
+        names.setdefault(label, chr(ord("a") + len(names)))
+    renamed = [names[label] for label in out]
+    canon_out = sorted(renamed)
+    canon = "".join(names.get(c, c) for c in lhs) + "->" + "".join(canon_out)
+    if renamed == canon_out:
+        return canon, None
+    return canon, _tuple_getter([canon_out.index(c) for c in renamed])
+
+
 def _contract(spec, operands, memo):
     """Output shape, denominator and a dict from output keys to Gaussian
     integer pairs (re, im), zeros included: the contraction is the dict
-    divided by the denominator.  The dict may be the memo's own."""
-    shape, joins, final = _plan(spec, tuple(t.shape for t in operands))
+    divided by the denominator.  The dict may be the memo's own.
+
+    The contraction is made on the canonical spec, once per memo and
+    operands, and re-keyed to spec's output, so the terms of a signed
+    sum that are one contraction up to labels cost one."""
+    shapes = tuple(t.shape for t in operands)
+    shape = _plan(spec, shapes)[0]
+    canon, reorder = _canonical(spec)
+    key = (canon, *map(id, operands))
+    hit = memo.get(key)
+    if hit is None:
+        hit = memo[key] = _contract_canonical(canon, shapes, operands, memo)
+    den, part = hit
+    if reorder is not None:
+        part = {reorder(k): v for k, v in part.items()}
+    return shape, den, part
+
+
+def _contract_canonical(spec, shapes, operands, memo):
+    """Denominator and dict of _contract, by joining the operands left
+    to right as the plan of spec says."""
+    _, joins, final = _plan(spec, shapes)
     den, cur = _gaussian(operands[0], memo)
     for (key_r, rest_r, key_l, left_l), t in zip(joins, operands[1:]):
         den_r, right = _gaussian(t, memo)
@@ -640,17 +678,16 @@ def _contract(spec, operands, memo):
                     acc[k] = (old[0] + a * c - b * d, old[1] + a * d + b * c)
         cur = acc
     if final is None:
-        return shape, den, cur
-    proj, is_reorder = final
-    if is_reorder:
-        return shape, den, {proj(key): v for key, v in cur.items()}
+        return den, cur
+    # a canonical spec ends in its output order, so the final projection
+    # only sums (a one-operand spec such as "abc->ac")
     acc = {}
     get = acc.get
     for key, (a, b) in cur.items():
-        k = proj(key)
+        k = final(key)
         old = get(k)
         acc[k] = (a, b) if old is None else (old[0] + a, old[1] + b)
-    return shape, den, acc
+    return den, acc
 
 
 def tensor_contract(spec, *operands) -> Tensor:

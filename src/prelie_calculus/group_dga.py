@@ -111,6 +111,12 @@ class GroupDGA:
         self.identity, self.inv = _validate(data)
         self.n = len(data.theta)
         self.size = len(data.cayley)
+        # g^{-1}|>theta - theta for each g, as a grade-1 element
+        # (x-generators): its x_k-coefficient is theta_{g|>k} - theta_k
+        theta = data.theta
+        self._theta_forms = tuple(
+            tuple(theta[p[k]] - theta[k] for k in range(self.n))
+            for p in data.action)
 
     # -- element helpers -------------------------------------------------
     def unit(self):
@@ -190,15 +196,6 @@ class GroupDGA:
                     yield key, coeff * s1 * s2
 
     # -- differential ----------------------------------------------------
-    def _theta_forms(self, g):
-        """g^{-1}|>theta - theta as a grade-1 element (x-generators)."""
-        comps = [ZERO] * self.n
-        gi = self.inv[g]
-        for j, t in enumerate(self.data.theta):
-            comps[self.data.action[gi][j]] = comps[self.data.action[gi][j]] + t
-            comps[j] = comps[j] - t
-        return comps
-
     def d(self, a):
         """The super-derivation: d(alpha^A g . eta) = d(alpha^A g) . eta."""
         return accumulate(self._d_pieces(a))
@@ -215,7 +212,7 @@ class GroupDGA:
                     pieces.append((tuple(Am), self._act_form(self.inv[g], i),
                                    coeff))
             # alpha^A g (g^{-1}|>theta - theta)
-            for k, t in enumerate(self._theta_forms(g)):
+            for k, t in enumerate(self._theta_forms[g]):
                 if not t.is_zero():
                     pieces.append((A, self.n + k, t))
             for A2, f, coeff in pieces:
@@ -243,7 +240,7 @@ class GroupDGA:
             if not support:
                 if g == self.identity:
                     continue  # the unit is projected out
-                for k, t in enumerate(self._theta_forms(g)):
+                for k, t in enumerate(self._theta_forms[g]):
                     vec[k] = vec[k] + c * t
             elif len(support) == 1:
                 i = support[0]
@@ -393,7 +390,7 @@ def check_group_dga(dga: GroupDGA, max_len=3, with_witnesses=False):
     # g^{-1}|>theta - theta always lie in the sum-zero hyperplane of
     # kX, so the best possible rank for a point action is n - 1; warn
     # when the orbit of theta spans less than that.
-    rows = [dga._theta_forms(g) for g in range(dga.size)]
+    rows = dga._theta_forms
     rank = dga.n - len(linear_kernel(rows))
     if rank < dga.n - 1:
         warnings.append(

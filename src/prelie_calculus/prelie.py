@@ -73,21 +73,18 @@ def prelie_from_table(names, table):
     return PreLieProduct(n, tuple(names), Tensor((n, n, n), entries))
 
 
-def _associator(xi):
-    """The associator (x o y) o z - x o (y o z) of the product with
-    structure tensor xi, indexed (x, y, z, output)."""
-    return contract_sum([(1, "ijm,mko->ijko", xi, xi),
-                         (-1, "jkm,imo->ijko", xi, xi)])
-
-
 def check_left_symmetry(X: PreLieProduct, with_witnesses=False):
     """(x o y) o z - (y o x) o z == x o (y o z) - y o (x o z).
 
-    The associator is contracted once and then antisymmetrized in (x, y).
+    The associator antisymmetrized in (x, y), as one signed sum whose
+    four terms are two contractions up to labels; contract_sum makes
+    each once.
     """
-    assoc = _associator(X.xi)
-    defect = contract_sum([(1, "ijko->ijko", assoc),
-                           (-1, "jiko->ijko", assoc)])
+    xi = X.xi
+    defect = contract_sum([(1, "ijm,mko->ijko", xi, xi),
+                           (-1, "jim,mko->ijko", xi, xi),
+                           (-1, "jkm,imo->ijko", xi, xi),
+                           (1, "ikm,jmo->ijko", xi, xi)])
     witnesses = _leading(defect, 3)
     if with_witnesses:
         return {"left_symmetric": not witnesses, "witnesses": witnesses}

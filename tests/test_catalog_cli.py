@@ -2,6 +2,9 @@ import argparse
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from fractions import Fraction
 from itertools import product
@@ -217,6 +220,74 @@ def _write(tmp_path, document):
 NOT_LEFT_SYMMETRIC = [[0, 0, 1, 1, 1, 0, 1], [1, 1, 1, 1, 1, 0, 1]]
 
 
+class TestReentrantMain:
+    """main parses with one parser per process; a run of calls in one
+    process, errors and repeated flags included, must print and exit
+    as fresh processes do."""
+
+    @staticmethod
+    def calls(tmp_path):
+        x_line = _write(tmp_path, {"id": "x-line", "kind": "prelie",
+                                   "payload": {"dim": 1,
+                                               "xi": [[0, 0, 0, 1]]}})
+        x_twice = _write(tmp_path, {"id": "x-twice", "kind": "prelie",
+                                    "payload": {"dim": 1,
+                                                "xi": [[0, 0, 0, 2]]}})
+        bad = _write(tmp_path, _prelie_file(xi=[[0, 0, 1, 1, 0, 0, 1]]))
+        failing = _write(tmp_path, {"id": "not-ls", "kind": "prelie",
+                                    "payload": {"dim": 2,
+                                                "xi": NOT_LEFT_SYMMETRIC}})
+        return [
+            ("check", "--instance", "b4", "--instance", "b3", "--json"),
+            ("check", "--instance", "b4", "--json"),
+            ("construct", "--instance", "b-quasitriangular", "--json"),
+            ("calculus", "--instance", "nosuch"),               # exit 2
+            ("calculus", "--instance", "su2-dual-prelie", "--max-len", "4",
+             "--lambda", "[-3, 7]", "--json"),
+            ("check", "--instance-file", bad),                  # exit 3
+            ("calculus", "--instance", "b4"),
+            ("su2", "--max-len", "3"),                  # argparse exit 2
+            ("check", "--instance-file", x_line, "--instance-file", x_twice,
+             "--instance", "b5", "--instance", "b2(beta=1)"),
+            ("check", "--instance-file", x_twice, "--instance", "b5"),
+            ("groupdga", "--instance", "groupdga-z2", "--json"),
+            ("metric", "--case", "1", "--alpha", "[-2, 3]", "--json"),
+            ("metric", "--instance", "metric-case4"),
+            ("check", "--instance-file", failing, "--json"),    # exit 1
+            (),                                                 # exit 2
+            ("curvature", "--case", "5", "--c2", "3"),
+            ("su2",),
+            ("catalog", "--json"),
+            ("calculus", "--instance", "x-line"),               # exit 2
+            ("calculus", "--instance-file", x_line, "--json"),
+        ]
+
+    def test_calls_match_fresh_processes(self, capsys, monkeypatch,
+                                         tmp_path):
+        # argparse wraps its usage lines to COLUMNS
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.delenv("NO_COLOR", raising=False)
+        root = Path(__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(root / "src")}
+        cli._parser.cache_clear()
+        codes = set()
+        for argv in self.calls(tmp_path):
+            try:
+                code = cli.main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+            out = capsys.readouterr()
+            fresh = subprocess.run(
+                [sys.executable, "-m", "prelie_calculus.cli", *argv],
+                cwd=root, env=env, capture_output=True, text=True,
+                timeout=120)
+            assert (code, out.out, out.err) == (
+                fresh.returncode, fresh.stdout, fresh.stderr), argv
+            codes.add(code)
+        assert codes == {0, 1, 2, 3}
+        assert cli._parser.cache_info().misses == 1
+
+
 class TestCommandPath:
     def test_construct_reads_prelie_files(self, capsys, tmp_path):
         path = _write(tmp_path, {"id": "mine", "kind": "prelie", "payload": {
@@ -281,7 +352,7 @@ class TestCommandPath:
                                                        monkeypatch):
         def no_work(*args, **kwargs):
             raise AssertionError("a check ran before the work was bounded")
-        monkeypatch.setattr(cli, "check_first_order", no_work)
+        monkeypatch.setattr(cli, "check_calculus", no_work)
         code, out, err = run(capsys, "calculus", "--instance", "b4",
                              "--instance", "su2-dual-prelie",
                              "--max-len", "13")
@@ -296,7 +367,7 @@ class TestCommandPath:
         admit x o x = x at --max-len 499, a 40 s run."""
         def no_work(*args, **kwargs):
             raise AssertionError("a check ran before the work was bounded")
-        monkeypatch.setattr(cli, "check_first_order", no_work)
+        monkeypatch.setattr(cli, "check_calculus", no_work)
         path = _write(tmp_path, {"id": "line", "kind": "prelie", "payload": {
             "dim": 1, "xi": [[0, 0, 0, 1, 1, 0, 1]]}})
         code, out, err = run(capsys, "calculus", "--instance-file", path,
@@ -327,7 +398,7 @@ class TestCommandPath:
                                                     monkeypatch):
         def no_work(*args, **kwargs):
             raise AssertionError("the calculus ran before --lambda was read")
-        monkeypatch.setattr(cli, "check_first_order", no_work)
+        monkeypatch.setattr(cli, "check_calculus", no_work)
         code, out, err = run(capsys, "calculus", "--instance", "b4",
                              "--lambda", "zz")
         assert code == 2

@@ -1,6 +1,7 @@
 import ast
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from math import comb
@@ -27,6 +28,7 @@ from prelie_calculus import cli, dga
 from prelie_calculus.dga import (
     FormElement,
     NCElement,
+    check_calculus,
     check_first_order,
     differential_d,
     exterior_d,
@@ -641,6 +643,69 @@ def counted(monkeypatch, name):
 
     monkeypatch.setattr(dga, name, wrapper)
     return calls
+
+
+def d_word_misses(monkeypatch):
+    """Make _Calculus.d_word count, per word, the calls that miss its
+    memo table and so compute d of the word; returns the Counter."""
+    misses = Counter()
+    true_d = dga._Calculus.d_word
+
+    def d_word(calc, word):
+        if word not in calc._d:
+            misses[word] += 1
+        return true_d(calc, word)
+
+    monkeypatch.setattr(dga._Calculus, "d_word", d_word)
+    return misses
+
+
+class TestSharedTable:
+    """A calculus job reads the first-order and the connectedness
+    certificate off one d table: its report is that of the two public
+    checks, and it differentiates each word once."""
+
+    LAMBDAS = [("0", Scalar(0)), ("[-3, 7]", Scalar(Fraction(-3, 7)))]
+
+    @pytest.mark.parametrize("max_len", [3, 4, 5])
+    @pytest.mark.parametrize("iid, m, X", [
+        pytest.param(*row, id=row[0]) for row in catalog_products()])
+    def test_job_matches_public_calls(self, monkeypatch, capsys, iid, m, X,
+                                      max_len):
+        misses = d_word_misses(monkeypatch)
+        for text, lam in self.LAMBDAS:
+            misses.clear()
+            code = cli.main(["calculus", "--instance", iid, "--max-len",
+                             str(max_len), "--lambda", text, "--json"])
+            report = json.loads(capsys.readouterr().out)[iid]
+            assert set(misses.values()) == {1}
+            job_words = set(misses)
+
+            misses.clear()
+            first = check_first_order(m, X, max_len=max_len)
+            kernel = kernel_of_d(m, X, max_len, lam)
+            assert report == {"first_order": first,
+                              "kernel_dimension": kernel["dimension"],
+                              "connected": kernel["dimension"] == 1}
+            assert code == (0 if first else 1)
+            # the two calls build a table each, and both need most words
+            assert set(misses) == job_words
+            assert max(misses.values()) == 2
+
+            misses.clear()
+            assert check_calculus(m, X, max_len, lam) == (first, kernel)
+            assert set(misses.values()) == {1}
+
+    @pytest.mark.parametrize("X", [mutant(b_family("b4"), 2),
+                                   su2_dual_mutant()],
+                             ids=["b4-mutant", "su2*-mutant"])
+    def test_failing_product(self, X):
+        m = b_lie() if X.dim == 2 else su2_dual_lie()
+        lam = Scalar(Fraction(5, 2))
+        first, kernel = check_calculus(m, X, 4, lam)
+        assert first is False
+        assert (first, kernel) == (check_first_order(m, X, max_len=4),
+                                   kernel_of_d(m, X, 4, lam))
 
 
 class TestWorkCount:

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from prelie_calculus import exact_core
 from prelie_calculus.dga import FormElement, NCElement
 from prelie_calculus.exact_core import (
     GenPoly,
@@ -340,6 +341,39 @@ class TestTensorContract:
         for (_, spec, *ops), want in zip(terms, dense):
             assert tensor_contract(spec, *ops) == want
         assert contract_sum(terms) == dense[0] - dense[1] + dense[2]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data(), dims)
+    def test_relabelled_terms_share_one_contraction(self, data, n):
+        """Terms that are one contraction up to label names and output
+        order, on the same operands, are contracted once per sum and
+        re-keyed per term; the sum still matches the dense reference."""
+        xi = data.draw(sparse_tensors((n, n, n)))
+        other = data.draw(sparse_tensors((n, n, n)))
+        terms = [(1, "ijm,mko->ijko", xi, xi),
+                 (-1, "jim,mko->ijko", xi, xi),
+                 (-1, "jkm,imo->ijko", xi, xi),
+                 (1, "ikm,jmo->ijko", xi, xi),
+                 (1, "ijm,mko->ijko", xi, other),
+                 (1, "ijk->kj", xi), (-1, "jik->ki", xi)]
+        dense = [dense_einsum(spec, *ops) for _, spec, *ops in terms]
+        calls = []
+        true_contract = exact_core._contract_canonical
+
+        def counted(spec, *args):
+            calls.append(spec)
+            return true_contract(spec, *args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(exact_core, "_contract_canonical", counted)
+            assert contract_sum(terms[:4]) == \
+                dense[0] - dense[1] - dense[2] + dense[3]
+            assert calls == ["abc,cde->abde", "abc,dce->abde"]
+            # the same spec on other operands is another contraction
+            assert contract_sum(terms[:1] + terms[4:5]) == dense[0] + dense[4]
+            assert len(calls) == 4
+            assert contract_sum(terms[5:]) == dense[5] - dense[6]
+            assert calls[4:] == ["abc->bc"]
 
     @settings(max_examples=40, deadline=None)
     @given(st.data(), dims, dims, dims,
