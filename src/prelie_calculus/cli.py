@@ -27,7 +27,7 @@ from .constructions import (
     xi_action_on_g,
 )
 from .dga import check_calculus
-from .exact_core import Scalar, Tensor, ratfunc_equal
+from .exact_core import Scalar, Tensor, Verdict, ratfunc_equal
 from .group_dga import GroupDGA, GroupDGAData, check_group_dga
 from .liebialg import (
     LieAlgebra,
@@ -265,25 +265,23 @@ def _check_instance(entry, max_len):
             report["compatibility"] = check_compatibility(obj, lie)
             report["flat_right_action"] = check_flat_right_action(obj, lie)
         if bialg is not None:
-            report["bicovariance"] = bool(check_bicovariance(obj, bialg))
+            report["bicovariance"] = check_bicovariance(obj, bialg)
     elif kind == "bialgebra":
         lie_rep = check_lie_algebra(obj.algebra.bracket)
         report["antisymmetry"] = lie_rep["antisymmetry"]
         report["jacobi"] = lie_rep["jacobi"]
-        report["cocycle"] = bool(check_bialgebra_cocycle(obj))
+        report["cocycle"] = check_bialgebra_cocycle(obj)
     elif kind == "matched_pair":
-        report["matched_pair"] = bool(check_matched_pair(obj))
+        report["matched_pair"] = check_matched_pair(obj)
     elif kind == "rmatrix":
-        report["symmetric_part_invariant"] = \
-            bool(check_rmatrix_symmetric_part(obj))
-        report["cybe"] = bool(check_cybe(obj))
+        report["symmetric_part_invariant"] = check_rmatrix_symmetric_part(obj)
+        report["cybe"] = check_cybe(obj)
         report["induced_left_symmetry"] = \
             check_left_symmetry(xi_from_rmatrix(obj))
     elif kind == "cotangent_input":
         X = cotangent_prelie(obj)
         report["left_symmetry"] = check_left_symmetry(X)
-        report["cotangent_bicovariance"] = \
-            bool(check_cotangent_bicovariance(obj))
+        report["cotangent_bicovariance"] = check_cotangent_bicovariance(obj)
     elif kind == "metric":
         report.update(check_metric(obj))
     elif kind == "group_dga":
@@ -322,6 +320,13 @@ def _emit(payload, as_json, passed):
 
     walk(payload)
     print("overall:", mark(passed))
+
+
+def _as_bools(report):
+    """The report with each Verdict replaced by its truth value."""
+    return {key: _as_bools(v) if isinstance(v, dict)
+            else bool(v) if isinstance(v, Verdict) else v
+            for key, v in report.items()}
 
 
 def _all_bools_pass(report):
@@ -371,7 +376,7 @@ def _calculus_report(entry, args):
     if lie is None:
         lie = _precondition(induced_bracket, obj)
     first, kernel = check_calculus(lie, obj, args.max_len, args.lam)
-    return {"first_order": bool(first),
+    return {"first_order": first,
             "kernel_dimension": kernel["dimension"],
             "connected": kernel["dimension"] == 1}
 
@@ -479,7 +484,7 @@ COMMANDS = {
                       _metric_entries),
     "curvature": Command(_METRIC_FLAGS, ("metric",), _curvature_report,
                          _metric_entries),
-    "su2": Command((), None, lambda entry, args: entry["build"](),
+    "su2": Command((), None, lambda entry, args: {"passed": entry["build"]()},
                    lambda name, args: _SU2_MODELS),
     "catalog": Command((), None, lambda entry, args: {"kind": entry["kind"]},
                        lambda name, args: load_catalog()),
@@ -488,8 +493,8 @@ COMMANDS = {
 
 def _run(name, args):
     """Resolve the entries, reject a kind the command does not apply to,
-    read --lambda, refuse too much work, report on each entry, emit;
-    exit 0 or 1."""
+    read --lambda, refuse too much work, report on each entry, read each
+    Verdict as a bool, emit; exit 0 or 1."""
     command = COMMANDS[name]
     entries = command.entries(name, args)
     for entry in entries:
@@ -510,6 +515,7 @@ def _run(name, args):
         except PreconditionFailed as exc:
             payload[entry["id"]] = {"error": str(exc)}
             failed = True
+    payload = _as_bools(payload)
     passed = not failed and _all_bools_pass(payload)
     _emit(payload, args.json, passed)
     return 0 if passed else CHECK_FAILED

@@ -15,6 +15,7 @@ from itertools import chain
 from .exact_core import (
     Scalar,
     Tensor,
+    Verdict,
     accumulate,
     contract_sum,
     tensor_contract,
@@ -102,16 +103,13 @@ class CotangentInput:
                 raise ValueError("dimension mismatch")
 
 
-def check_module_condition(S: SemidirectInput, with_witnesses=False):
+def check_module_condition(S: SemidirectInput) -> Verdict:
     """a |> (x*y) == (a|>x)*y + x*(a|>y) on all basis triples."""
     act, star = S.action.coefficients, S.B.xi
     defect = contract_sum([(1, "xym,amo->axyo", star, act),
                            (-1, "axm,myo->axyo", act, star),
                            (-1, "aym,xmo->axyo", act, star)])
-    witnesses = _leading(defect, 3)
-    if with_witnesses:
-        return {"module_condition": not witnesses, "witnesses": witnesses}
-    return not witnesses
+    return Verdict(_leading(defect, 3))
 
 
 def semidirect_prelie(S: SemidirectInput) -> PreLieProduct:
@@ -120,11 +118,9 @@ def semidirect_prelie(S: SemidirectInput) -> PreLieProduct:
         raise ValueError("A is not left-symmetric")
     if not check_left_symmetry(S.B):
         raise ValueError("B is not left-symmetric")
-    rep = check_module_condition(S, with_witnesses=True)
-    if not rep["module_condition"]:
-        raise ValueError(
-            f"module condition fails, witness {rep['witnesses'][0]}"
-        )
+    rep = check_module_condition(S)
+    if not rep:
+        raise ValueError(f"module condition fails, witness {rep.witnesses[0]}")
     nA, nB = S.A.dim, S.B.dim
     n = nB + nA
     entries = accumulate(chain(
@@ -136,11 +132,10 @@ def semidirect_prelie(S: SemidirectInput) -> PreLieProduct:
          for (i, j, k), v in S.A.xi.entries.items())))
     names = tuple(S.B.basis_names) + tuple(S.A.basis_names)
     out = PreLieProduct(n, names, Tensor((n, n, n), entries))
-    rep2 = check_left_symmetry(out, with_witnesses=True)
-    if not rep2["left_symmetric"]:
+    rep = check_left_symmetry(out)
+    if not rep:
         raise AssertionError(
-            f"semidirect product not left-symmetric: {rep2['witnesses'][:3]}"
-        )
+            f"semidirect product not left-symmetric: {rep.witnesses[:3]}")
     return out
 
 
@@ -149,15 +144,12 @@ def _check_commutative(X: PreLieProduct):
                          (-1, "jik->ijk", X.xi)]).is_zero()
 
 
-def check_associative(X: PreLieProduct, with_witnesses=False):
+def check_associative(X: PreLieProduct) -> Verdict:
     """(x o y) o z == x o (y o z)."""
     xi = X.xi
     defect = contract_sum([(1, "ijm,mko->ijko", xi, xi),
                            (-1, "jkm,imo->ijko", xi, xi)])
-    witnesses = _leading(defect, 3)
-    if with_witnesses:
-        return {"associative": not witnesses, "witnesses": witnesses}
-    return not witnesses
+    return Verdict(_leading(defect, 3))
 
 
 def tangent_prelie(circ: PreLieProduct, star: PreLieProduct,
@@ -181,23 +173,22 @@ def tangent_prelie(circ: PreLieProduct, star: PreLieProduct,
         raise ValueError("circ is not compatible with the g* bracket")
     if not _check_commutative(star):
         raise ValueError("star is not commutative")
-    rep = check_associative(star, with_witnesses=True)
-    if not rep["associative"]:
-        raise ValueError(f"star is not associative: {rep['witnesses'][0]}")
+    rep = check_associative(star)
+    if not rep:
+        raise ValueError(f"star is not associative: {rep.witnesses[0]}")
 
     n = circ.dim
     adjoint = ActionTensor(n, n, lie.bracket)  # f |> psi = [f, psi]
     S = SemidirectInput(A=circ, B=star, action=adjoint)
-    mod = check_module_condition(S, with_witnesses=True)
-    if not mod["module_condition"]:
+    rep = check_module_condition(S)
+    if not rep:
         raise ValueError(
-            f"Poisson condition fails, witness {mod['witnesses'][0]}"
-        )
+            f"Poisson condition fails, witness {rep.witnesses[0]}")
     return semidirect_prelie(S)
 
 
 def check_tangent_bicovariance(circ: PreLieProduct, star: PreLieProduct,
-                               B: LieBialgebra, with_witnesses=False):
+                               B: LieBialgebra) -> Verdict:
     """The five identities that make the tangent calculus bicovariant.
 
     With delta f = f(1) (x) f(2) the g* cobracket (transpose of B's
@@ -224,15 +215,11 @@ def check_tangent_bicovariance(circ: PreLieProduct, star: PreLieProduct,
         ("circ-delta", [(1, "fab,aho->fhob", delta, circ),
                         (1, "hab,fao->fhob", delta, circ)]),
     ]
-    witnesses = [(name,) + w for name, terms in identities
-                 for w in _leading(contract_sum(terms), 2)]
-    if with_witnesses:
-        return {"tangent_bicovariant": not witnesses, "witnesses": witnesses}
-    return not witnesses
+    return Verdict((name,) + w for name, terms in identities
+                   for w in _leading(contract_sum(terms), 2))
 
 
-def check_braided_conditions(X: PreLieProduct, B: LieBialgebra,
-                             with_witnesses=False):
+def check_braided_conditions(X: PreLieProduct, B: LieBialgebra) -> Verdict:
     """The two braided-Lie-bialgebra conditions for Xi on g*:
 
       (Xi-ass) delta Xi(phi,psi) = Xi(phi,psi(1)) (x) psi(2)
@@ -250,14 +237,11 @@ def check_braided_conditions(X: PreLieProduct, B: LieBialgebra,
     if not check_compatibility(X, dualize(B).algebra):
         raise ValueError("Xi is not compatible with the g* bracket")
     delta = _delta_gstar(B)
-    witnesses = [
+    return Verdict(
         (name,) + w
         for name, terms in (("Xi-ass", _xi_ass_terms(X.xi, delta)),
                             ("Xi-con", _xi_con_terms(X.xi, delta)))
-        for w in _leading(contract_sum(terms), 2)]
-    if with_witnesses:
-        return {"braided": not witnesses, "witnesses": witnesses}
-    return not witnesses
+        for w in _leading(contract_sum(terms), 2))
 
 
 def infinitesimal_braiding(X: PreLieProduct, B: LieBialgebra) -> Tensor:
@@ -298,9 +282,9 @@ def bisum_bialgebra(X: PreLieProduct, B: LieBialgebra) -> LieBialgebra:
     """
     if not check_left_symmetry(X):
         raise ValueError("Xi is not left-symmetric")
-    rep = check_braided_conditions(X, B, with_witnesses=True)
-    if not rep["braided"]:
-        raise ValueError(f"braided conditions fail: {rep['witnesses'][:3]}")
+    rep = check_braided_conditions(X, B)
+    if not rep:
+        raise ValueError(f"braided conditions fail: {rep.witnesses[:3]}")
     n = B.dim
     N = 2 * n
     gstar = lambda i: i
@@ -339,9 +323,9 @@ def bisum_bialgebra(X: PreLieProduct, B: LieBialgebra) -> LieBialgebra:
     lie_rep = check_lie_algebra(out.algebra.bracket)
     if not (lie_rep["antisymmetry"] and lie_rep["jacobi"]):
         raise AssertionError("bisum bracket fails Lie axioms")
-    cc = check_bialgebra_cocycle(out, with_witnesses=True)
-    if not cc["cocycle"]:
-        raise AssertionError(f"bisum fails cocycle check: {cc['witnesses']}")
+    cc = check_bialgebra_cocycle(out)
+    if not cc:
+        raise AssertionError(f"bisum fails cocycle check: {cc.witnesses}")
     return out
 
 
@@ -371,17 +355,17 @@ def cotangent_prelie(C: CotangentInput) -> PreLieProduct:
     gstar_bracket = dualize(B).algebra
     if not check_compatibility(C.xi, gstar_bracket):
         raise ValueError("Xi is not compatible with the g* bracket")
-    rep = check_braided_conditions(C.xi, B, with_witnesses=True)
-    if not rep["braided"]:
-        raise ValueError(f"braided conditions fail: {rep['witnesses'][:3]}")
+    rep = check_braided_conditions(C.xi, B)
+    if not rep:
+        raise ValueError(f"braided conditions fail: {rep.witnesses[:3]}")
     S = SemidirectInput(A=C.circ, B=C.star, action=xi_action_on_g(C.xi))
-    mod = check_module_condition(S, with_witnesses=True)
-    if not mod["module_condition"]:
-        raise ValueError(f"(Xi-ast) fails, witness {mod['witnesses'][0]}")
+    rep = check_module_condition(S)
+    if not rep:
+        raise ValueError(f"(Xi-ast) fails, witness {rep.witnesses[0]}")
     return semidirect_prelie(S)
 
 
-def check_cotangent_bicovariance(C: CotangentInput, with_witnesses=False):
+def check_cotangent_bicovariance(C: CotangentInput) -> Verdict:
     """Extra conditions for bicovariance of the cotangent calculus:
 
       - circ obeys the infinitesimal bicovariance condition (Xi-bi),
@@ -395,9 +379,9 @@ def check_cotangent_bicovariance(C: CotangentInput, with_witnesses=False):
     witnesses = []
     if not check_bicovariance(C.circ, B):
         witnesses.append(("circ-Xi-bi",))
-    ass = check_associative(C.star, with_witnesses=True)
-    if not ass["associative"]:
-        witnesses.append(("star-associative", ass["witnesses"][0]))
+    ass = check_associative(C.star)
+    if not ass:
+        witnesses.append(("star-associative", ass.witnesses[0]))
 
     co = coadjoint_action(B).coefficients
     c = B.algebra.bracket
@@ -418,9 +402,7 @@ def check_cotangent_bicovariance(C: CotangentInput, with_witnesses=False):
     ]
     witnesses += [(name,) + w for name, r, terms in identities
                   for w in _leading(contract_sum(terms), r)]
-    if with_witnesses:
-        return {"cotangent_bicovariant": not witnesses, "witnesses": witnesses}
-    return not witnesses
+    return Verdict(witnesses)
 
 
 def cocycle_D(X: PreLieProduct, B: LieBialgebra, phi) -> Tensor:
@@ -435,9 +417,9 @@ def cocycle_D(X: PreLieProduct, B: LieBialgebra, phi) -> Tensor:
     """
     if not check_left_symmetry(X):
         raise ValueError("Xi is not left-symmetric")
-    rep = check_braided_conditions(X, B, with_witnesses=True)
-    if not rep["braided"]:
-        raise ValueError(f"braided conditions fail: {rep['witnesses'][:3]}")
+    rep = check_braided_conditions(X, B)
+    if not rep:
+        raise ValueError(f"braided conditions fail: {rep.witnesses[:3]}")
     n = B.dim
     N = 2 * n
     phi = [v if isinstance(v, Scalar) else Scalar(v) for v in phi]

@@ -15,7 +15,7 @@ graded algebra with the classical Grassmann wedge on the de_i.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import chain, combinations_with_replacement, product
 from math import comb, prod
 
 from .exact_core import (
@@ -24,6 +24,7 @@ from .exact_core import (
     ONE,
     Scalar,
     TermMap,
+    Verdict,
     ZERO,
     _lambda,
     _sorted_forms,
@@ -382,17 +383,8 @@ def _leibniz_holds(calc, u, v):
         (1, calc.form_mul({(u, ()): L_ONE}, calc.d_word(v))))
 
 
-def _leibniz_witnesses(calc, n, max_len):
-    """Every pair (u, v) of nonempty PBW words with len(u) + len(v) <=
-    max_len on which Leibniz fails."""
-    return [(u, v)
-            for u in _pbw_words(n, max_len - 1, min_len=1)
-            for v in _pbw_words(n, max_len - len(u), min_len=1)
-            if not _leibniz_holds(calc, u, v)]
-
-
-def check_first_order(m: LieAlgebra, prelie: PreLieProduct, max_len=4,
-                      with_witnesses=False):
+def check_first_order(m: LieAlgebra, prelie: PreLieProduct,
+                      max_len=4) -> Verdict:
     """Exact consistency of the first-order calculus on U_lambda(m), with
     lambda formal.
 
@@ -405,36 +397,29 @@ def check_first_order(m: LieAlgebra, prelie: PreLieProduct, max_len=4,
           that derivation kills the relations (witnesses "bracket");
     and d_word is that derivation on words up to max_len when
       (P) d_word(w) = dx.w' + x.dw' for each PBW word w = x w' with
-          2 <= len(w) <= max_len.
+          2 <= len(w) <= max_len, the Leibniz pair (x, w') (witnesses
+          "leibniz").
     Together they give Leibniz d(uv) = (du)v + u(dv) on every pair of
     PBW words with len(u) + len(v) <= max_len, at O(words) products.
-    Only when they fail, and witnesses are asked for, are all those
-    pairs checked and the failing ones listed under "leibniz"; (P)
-    fails exactly when one of them does.
+    Witnesses are tagged with their identity: ("bracket", x, y),
+    ("bimodule", x, y) and ("leibniz", (x,), w').
     """
     if prelie.dim != m.dim:
         raise ValueError("dimension mismatch")
-    return _first_order(_Calculus(prelie, m), max_len, with_witnesses)
+    return _first_order(_Calculus(prelie, m), max_len)
 
 
-def _first_order(calc, max_len, with_witnesses=False):
+def _first_order(calc, max_len):
     """The body of check_first_order, on the tables of calc."""
     n = calc.prelie.dim
     generators = [(x, y) for x in range(n) for y in range(x + 1, n)]
-    witnesses = {
-        "leibniz": [],
-        "bracket": [g for g in generators if not _bracket_holds(calc, *g)],
-        "bimodule": [g for g in generators
-                     if not _bimodule_holds(calc, *g)],
-    }
-    ok = not any(witnesses.values()) and all(
-        _leibniz_holds(calc, w[:1], w[1:])
-        for w in _pbw_words(n, max_len, min_len=2))
-    if not with_witnesses:
-        return ok
-    if not ok:
-        witnesses["leibniz"] = _leibniz_witnesses(calc, n, max_len)
-    return {"first_order": ok, "witnesses": witnesses}
+    return Verdict(chain(
+        (("bracket", *g) for g in generators if not _bracket_holds(calc, *g)),
+        (("bimodule", *g) for g in generators
+         if not _bimodule_holds(calc, *g)),
+        (("leibniz", w[:1], w[1:])
+         for w in _pbw_words(n, max_len, min_len=2)
+         if not _leibniz_holds(calc, w[:1], w[1:]))))
 
 
 def _connected(calc, words, lam):

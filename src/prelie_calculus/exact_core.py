@@ -23,6 +23,7 @@ __all__ = [
     "TermMap",
     "GenPoly",
     "RatFunc",
+    "Verdict",
     "ZERO",
     "ONE",
     "I",
@@ -1010,3 +1011,33 @@ def ratfunc_equal(f: RatFunc, g: RatFunc) -> bool:
     """True iff f.num*g.den == g.num*f.den as GenPoly."""
     return f.num * g.den == g.num * f.den
 
+
+
+class Verdict:
+    """The outcome of an identity check: the witnesses on which it
+    fails, a tuple, and true exactly when there are none.  A check that
+    covers several identities tags each witness with the identity's
+    name, (name, *witness).  Not a tuple itself, so a report holding a
+    Verdict cannot be printed as if it were a list."""
+
+    __slots__ = ("witnesses",)
+
+    def __init__(self, witnesses=()):
+        object.__setattr__(self, "witnesses", tuple(witnesses))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Verdict is immutable")
+
+    def __bool__(self):
+        return not self.witnesses
+
+    def __eq__(self, other):
+        if not isinstance(other, Verdict):
+            return NotImplemented
+        return self.witnesses == other.witnesses
+
+    def __hash__(self):
+        return hash(self.witnesses)
+
+    def __repr__(self):
+        return f"Verdict({list(self.witnesses)!r})"

@@ -25,8 +25,8 @@ from itertools import chain, combinations_with_replacement, \
     product as iproduct
 from math import comb
 
-from .exact_core import ONE, Scalar, ZERO, _sorted_forms, accumulate, \
-    linear_kernel
+from .exact_core import ONE, Scalar, Verdict, ZERO, _sorted_forms, \
+    accumulate, linear_kernel
 
 __all__ = [
     "GroupDGAData",
@@ -292,7 +292,7 @@ def _monomials(dga, max_len):
                 yield tuple(map(picks.count, range(dga.n))), g
 
 
-def check_group_dga(dga: GroupDGA, max_len=3, with_witnesses=False):
+def check_group_dga(dga: GroupDGA, max_len=3):
     """Consistency report for a built group DGA.
 
     Verifies d^2 = 0 on every product of at most max_len alphas and
@@ -305,12 +305,14 @@ def check_group_dga(dga: GroupDGA, max_len=3, with_witnesses=False):
 
     With no forms to move, such a product is always one monomial
     alpha^A g with coefficient 1, and d is linear, so d^2 is applied
-    once to each distinct monomial (_monomials); the d_squared
-    witnesses are the failing (A, g).
+    once to each distinct monomial (_monomials).
+
+    Returns {"passed": Verdict, "warnings": [str]}; each witness leads
+    with its list: ("d_squared", A, g) for a failing monomial,
+    ("leibniz", a, b), ("alpha_form", i, j), ("omega_module", a, b) and
+    ("omega_welldef", g, j).
     """
-    witnesses = {"d_squared": [], "leibniz": [], "alpha_form": [],
-                 "omega_module": [], "omega_welldef": []}
-    warnings = []
+    witnesses, warnings = [], []
 
     gens0 = [("alpha", i) for i in range(dga.n)] \
         + [("group", g) for g in range(dga.size)]
@@ -325,7 +327,7 @@ def check_group_dga(dga: GroupDGA, max_len=3, with_witnesses=False):
 
     for A, g in _monomials(dga, max_len):
         if not dga.is_zero(dga.d(dga.d({(A, g, ()): ONE}))):
-            witnesses["d_squared"].append((A, g))
+            witnesses.append(("d_squared", A, g))
 
     # graded Leibniz on pairs of generators including forms
     gens = gens0 + [("form", f) for f in range(2 * dga.n)]
@@ -338,7 +340,7 @@ def check_group_dga(dga: GroupDGA, max_len=3, with_witnesses=False):
             rhs = dga.add(dga.mul(dga.d(a), b),
                           dga.scale(dga.mul(a, dga.d(b)), sign))
             if not dga.is_zero(dga.sub(lhs, rhs)):
-                witnesses["leibniz"].append((la, lb))
+                witnesses.append(("leibniz", la, lb))
 
     # [alpha_i, d alpha_j] = delta_ij d alpha_j
     for i in range(dga.n):
@@ -347,7 +349,7 @@ def check_group_dga(dga: GroupDGA, max_len=3, with_witnesses=False):
             comm = dga.sub(dga.mul(ai, yj), dga.mul(yj, ai))
             expected = dga.form(j) if i == j else {}
             if not dga.is_zero(dga.sub(comm, expected)):
-                witnesses["alpha_form"].append((i, j))
+                witnesses.append(("alpha_form", i, j))
 
     # omega-tilde is a right module map on generator pairs:
     # omega(pi(u) v) = omega(pi(u)) <| v  for monomial generators u, v
@@ -370,7 +372,7 @@ def check_group_dga(dga: GroupDGA, max_len=3, with_witnesses=False):
             # pi of the product also picks up omega(pi(v)) eps-terms:
             # pi(pu v) = pu v - eps(pu v); eps(pu) = 0 so eps(pu v) = 0
             if not _pair_is_zero(diff):
-                witnesses["omega_module"].append((la, lb))
+                witnesses.append(("omega_module", la, lb))
 
     # well-definedness: omega(g alpha_j) computed through the rewrite
     # g alpha_j = alpha_{g|>j} g must equal omega(alpha_j) = y_j
@@ -384,7 +386,7 @@ def check_group_dga(dga: GroupDGA, max_len=3, with_witnesses=False):
             expect = [ZERO] * dga.n
             expect[j] = ONE
             if psi != expect or any(not c.is_zero() for c in vec):
-                witnesses["omega_welldef"].append((g, j))
+                witnesses.append(("omega_welldef", g, j))
 
     # surjectivity of omega on group elements.  The differences
     # g^{-1}|>theta - theta always lie in the sum-zero hyperplane of
@@ -396,11 +398,7 @@ def check_group_dga(dga: GroupDGA, max_len=3, with_witnesses=False):
         warnings.append(
             f"omega is not surjective: rank {rank} < {dga.n - 1}")
 
-    ok = not any(witnesses.values())
-    report = {"passed": ok, "warnings": warnings}
-    if with_witnesses:
-        report["witnesses"] = witnesses
-    return report
+    return {"passed": Verdict(witnesses), "warnings": warnings}
 
 
 def z2_instance() -> GroupDGA:

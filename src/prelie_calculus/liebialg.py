@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exact_core import ONE, Tensor, ZERO, accumulate, contract_sum
+from .exact_core import ONE, Tensor, Verdict, ZERO, accumulate, contract_sum
 
 __all__ = [
     "LieAlgebra",
@@ -160,7 +160,7 @@ def check_lie_algebra(c: Tensor):
     }
 
 
-def check_bialgebra_cocycle(B: LieBialgebra, with_witnesses=False):
+def check_bialgebra_cocycle(B: LieBialgebra) -> Verdict:
     """1-cocycle condition delta([x,y]) = ad_x delta y - ad_y delta x."""
     c = B.algebra.bracket
     d = B.coalgebra.cobracket
@@ -169,10 +169,7 @@ def check_bialgebra_cocycle(B: LieBialgebra, with_witnesses=False):
                            (-1, "jpb,ibq->ijpq", d, c),
                            (1, "iaq,jap->ijpq", d, c),
                            (1, "ipb,jbq->ijpq", d, c)])
-    witnesses = [(i, j) for i, j in _leading(defect, 2) if i < j]
-    if with_witnesses:
-        return {"cocycle": not witnesses, "witnesses": witnesses}
-    return not witnesses
+    return Verdict((i, j) for i, j in _leading(defect, 2) if i < j)
 
 
 def dualize(B: LieBialgebra) -> LieBialgebra:
@@ -224,27 +221,20 @@ def _action_defect(a: ActionTensor, L: LieAlgebra, sign):
                          (sign, "ivm,jmo->ijvo", t, t)])
 
 
-def check_action_axiom(a: ActionTensor, L: LieAlgebra, with_witnesses=False):
+def check_action_axiom(a: ActionTensor, L: LieAlgebra) -> Verdict:
     """[x,y] |> v == x |> (y |> v) - y |> (x |> v) on all basis triples."""
-    witnesses = _leading(_action_defect(a, L, 1), 3)
-    if with_witnesses:
-        return {"action": not witnesses, "witnesses": witnesses}
-    return not witnesses
+    return Verdict(_leading(_action_defect(a, L, 1), 3))
 
 
-def check_right_action_axiom(a: ActionTensor, L: LieAlgebra,
-                             with_witnesses=False):
+def check_right_action_axiom(a: ActionTensor, L: LieAlgebra) -> Verdict:
     """v <| [x,y] == (v <| x) <| y - (v <| y) <| x on all basis triples.
 
     ActionTensor stores the actor index first even for right actions.
     """
-    witnesses = _leading(_action_defect(a, L, -1), 3)
-    if with_witnesses:
-        return {"action": not witnesses, "witnesses": witnesses}
-    return not witnesses
+    return Verdict(_leading(_action_defect(a, L, -1), 3))
 
 
-def check_matched_pair(P: MatchedPair, with_witnesses=False):
+def check_matched_pair(P: MatchedPair) -> Verdict:
     """The two compatibility identities of a right-left matched pair:
 
     [phi,psi] <| xi = [phi <| xi, psi] + [phi, psi <| xi]
@@ -274,9 +264,7 @@ def check_matched_pair(P: MatchedPair, with_witnesses=False):
                                (-1, "iak,kjo->aijo", ra, la),
                                (1, "jak,kio->aijo", ra, la)])
     witnesses += [("g-identity",) + w for w in _leading(g_identity, 3)]
-    if with_witnesses:
-        return {"matched": not witnesses, "witnesses": witnesses}
-    return not witnesses
+    return Verdict(witnesses)
 
 
 def double_cross_sum(P: MatchedPair) -> LieAlgebra:
@@ -378,10 +366,10 @@ def bicross_sum(P: MatchedPair, m_bialgebra: LieBialgebra,
     rep = check_lie_algebra(out.algebra.bracket)
     if not (rep["antisymmetry"] and rep["jacobi"]):
         raise AssertionError("bicross sum bracket fails Lie axioms")
-    cc = check_bialgebra_cocycle(out, with_witnesses=True)
-    if not cc["cocycle"]:
+    cc = check_bialgebra_cocycle(out)
+    if not cc:
         raise AssertionError(
-            f"bicross sum fails cocycle check, witnesses {cc['witnesses']}"
+            f"bicross sum fails cocycle check, witnesses {cc.witnesses}"
         )
     return out
 
@@ -418,5 +406,5 @@ def check_crossed_module(B: LieBialgebra, act: ActionTensor,
                            (1, "ivm,pmo->pivo", a, a_dual)])
     witnesses = _leading(defect, 3)
     almost = not witnesses
-    full = almost and check_action_axiom(act_dual, dual.algebra)
+    full = almost and bool(check_action_axiom(act_dual, dual.algebra))
     return {"almost": almost, "full": full, "witnesses": witnesses}

@@ -29,6 +29,7 @@ from .exact_core import (
     ONE,
     RatFunc,
     Scalar,
+    Verdict,
     ZERO,
     _sorted_forms,
     accumulate,
@@ -70,8 +71,11 @@ def _lam(c: Scalar) -> LambdaScalar:
     return LambdaScalar((ZERO, c))
 
 
+@lru_cache(maxsize=256)
 def _shifted_t_power(b: int, shift: Scalar) -> GenPoly:
-    """(t + shift*lambda)^b expanded exactly."""
+    """(t + shift*lambda)^b expanded exactly.  Products and stars ask for
+    few distinct (b, shift) many times over; the cache is bounded, as
+    shifts take every height of the metrics checked."""
     out = {}
     s = ONE  # shift^k
     for k in range(b + 1):
@@ -333,10 +337,14 @@ def _metric_times_func(M: MetricCandidate, h: GenPoly):
         for legs, g in _past(M.calculus, M.param, (xi, eta), h).items())
 
 
-def check_metric(M: MetricCandidate, with_witnesses=False):
-    """Report {central, wedge_symmetric, real, nondegenerate}."""
+def check_metric(M: MetricCandidate):
+    """Report {central, wedge_symmetric, real, nondegenerate}, each a
+    Verdict: the failing (generator, xi, eta) for central, "dx^dt" for
+    wedge_symmetric, the failing (xi, eta) for real and "det" for
+    nondegenerate."""
     calculus, param = M.calculus, M.param
-    witnesses = {"central": [], "wedge_symmetric": [], "real": []}
+    witnesses = {"central": [], "wedge_symmetric": [], "real": [],
+                 "nondegenerate": []}
 
     # centrality against the generators x and t
     for name, h in (("x", GenPoly.monomial(1, 0)),
@@ -365,15 +373,9 @@ def check_metric(M: MetricCandidate, with_witnesses=False):
 
     det = func_mul(M.coefficients[DX][DX], M.coefficients[DT][DT]) \
         - func_mul(M.coefficients[DX][DT], M.coefficients[DT][DX])
-    report = {
-        "central": not witnesses["central"],
-        "wedge_symmetric": not witnesses["wedge_symmetric"],
-        "real": not witnesses["real"],
-        "nondegenerate": not det.is_zero(),
-    }
-    if with_witnesses:
-        report["witnesses"] = witnesses
-    return report
+    if det.is_zero():
+        witnesses["nondegenerate"].append("det")
+    return {name: Verdict(w) for name, w in witnesses.items()}
 
 
 def scalar_curvature_classical(M: MetricCandidate) -> RatFunc:

@@ -13,6 +13,7 @@ from .exact_core import (
     ONE,
     Scalar,
     Tensor,
+    Verdict,
     ZERO,
     contract_sum,
     linear_kernel,
@@ -24,7 +25,6 @@ from .liebialg import (
     RMatrix,
     _leading,
     check_lie_algebra,
-    dualize,
 )
 
 __all__ = [
@@ -73,7 +73,7 @@ def prelie_from_table(names, table):
     return PreLieProduct(n, tuple(names), Tensor((n, n, n), entries))
 
 
-def check_left_symmetry(X: PreLieProduct, with_witnesses=False):
+def check_left_symmetry(X: PreLieProduct) -> Verdict:
     """(x o y) o z - (y o x) o z == x o (y o z) - y o (x o z).
 
     The associator antisymmetrized in (x, y), as one signed sum whose
@@ -85,10 +85,7 @@ def check_left_symmetry(X: PreLieProduct, with_witnesses=False):
                            (-1, "jim,mko->ijko", xi, xi),
                            (-1, "jkm,imo->ijko", xi, xi),
                            (1, "ikm,jmo->ijko", xi, xi)])
-    witnesses = _leading(defect, 3)
-    if with_witnesses:
-        return {"left_symmetric": not witnesses, "witnesses": witnesses}
-    return not witnesses
+    return Verdict(_leading(defect, 3))
 
 
 def induced_bracket(X: PreLieProduct) -> LieAlgebra:
@@ -105,21 +102,16 @@ def induced_bracket(X: PreLieProduct) -> LieAlgebra:
     return L
 
 
-def check_compatibility(X: PreLieProduct, L: LieAlgebra,
-                        with_witnesses=False):
+def check_compatibility(X: PreLieProduct, L: LieAlgebra) -> Verdict:
     """Xi(phi,psi) - Xi(psi,phi) == [phi,psi] entry-by-entry."""
     if X.dim != L.dim:
         raise ValueError("dimension mismatch")
     defect = contract_sum([(1, "ijk->ijk", X.xi), (-1, "jik->ijk", X.xi),
                            (-1, "ijk->ijk", L.bracket)])
-    witnesses = sorted(defect.entries)
-    if with_witnesses:
-        return {"compatible": not witnesses, "witnesses": witnesses}
-    return not witnesses
+    return Verdict(sorted(defect.entries))
 
 
-def check_flat_right_action(X: PreLieProduct, L: LieAlgebra,
-                            with_witnesses=False):
+def check_flat_right_action(X: PreLieProduct, L: LieAlgebra) -> Verdict:
     """Flatness: Xi([phi,psi], zeta) = Xi(phi,Xi(psi,zeta)) - Xi(psi,Xi(phi,zeta))."""
     if X.dim != L.dim:
         raise ValueError("dimension mismatch")
@@ -127,10 +119,7 @@ def check_flat_right_action(X: PreLieProduct, L: LieAlgebra,
     defect = contract_sum([(1, "ijm,mko->ijko", L.bracket, xi),
                            (-1, "jkm,imo->ijko", xi, xi),
                            (1, "ikm,jmo->ijko", xi, xi)])
-    witnesses = _leading(defect, 3)
-    if with_witnesses:
-        return {"flat": not witnesses, "witnesses": witnesses}
-    return not witnesses
+    return Verdict(_leading(defect, 3))
 
 
 def _delta_gstar(B: LieBialgebra) -> Tensor:
@@ -158,46 +147,26 @@ def _xi_con_terms(xi: Tensor, delta: Tensor):
             (-1, "qrb,bps->pqrs", delta, xi)]
 
 
-def check_bicovariance(X: PreLieProduct, B: LieBialgebra,
-                       with_witnesses=False, variant="Xi-bi"):
-    """Infinitesimal bicovariance of the pre-Lie product Xi.
-
-    variant="Xi-bi" checks, for all basis phi, psi:
+def check_bicovariance(X: PreLieProduct, B: LieBialgebra) -> Verdict:
+    """Infinitesimal bicovariance (Xi-bi) of the pre-Lie product Xi: for
+    all basis phi, psi,
 
       delta_{g*} Xi(phi,psi) - Xi(phi,psi(1)) (x) psi(2)
         - psi(1) (x) Xi(phi,psi(2))
       = Xi(phi(1),psi) (x) phi(2) - psi(1) (x) Xi(psi(2),phi)
 
-    variant="bi" checks the equivalent form
-
-      delta_{g*} Xi(phi,psi) - Xi(phi(1),psi) (x) phi(2)
-        - Xi(phi,psi(1)) (x) psi(2)
-      = psi(1) (x) [phi, psi(2)]_{g*}
-
-    where delta_{g*} is the transpose of B's bracket and [ , ]_{g*}
-    the dual bracket.  Both variants coincide whenever Xi is
-    compatible with [ , ]_{g*}.
+    where delta_{g*} is the transpose of B's bracket.  Witnesses are
+    the failing (phi, psi).
     """
     if X.dim != B.dim:
         raise ValueError("dimension mismatch")
     xi, delta = X.xi, _delta_gstar(B)
-    if variant == "Xi-bi":
-        terms = _xi_ass_terms(xi, delta) + [
-            (-s, spec, *ops) for s, spec, *ops in _xi_con_terms(xi, delta)]
-    elif variant == "bi":
-        terms = [(1, "pqk,krs->pqrs", xi, delta),
-                 (-1, "pas,aqr->pqrs", delta, xi),
-                 (-1, "qas,par->pqrs", delta, xi),
-                 (-1, "qrb,pbs->pqrs", delta, dualize(B).algebra.bracket)]
-    else:
-        raise ValueError("variant must be 'Xi-bi' or 'bi'")
-    witnesses = _leading(contract_sum(terms), 2)
-    if with_witnesses:
-        return {"bicovariant": not witnesses, "witnesses": witnesses}
-    return not witnesses
+    terms = _xi_ass_terms(xi, delta) + [
+        (-s, spec, *ops) for s, spec, *ops in _xi_con_terms(xi, delta)]
+    return Verdict(_leading(contract_sum(terms), 2))
 
 
-def check_rmatrix_symmetric_part(R: RMatrix, with_witnesses=False):
+def check_rmatrix_symmetric_part(R: RMatrix) -> Verdict:
     """r(1) (x) [r(2), x] + r(2) (x) [r(1), x] == 0 for all basis x.
 
     This is the statement that the symmetric part r_+ acts trivially,
@@ -205,10 +174,7 @@ def check_rmatrix_symmetric_part(R: RMatrix, with_witnesses=False):
     """
     c, r = R.carrier.algebra.bracket, R.r
     defect = contract_sum([(1, "aq,qxb->xab", r, c), (1, "pa,pxb->xab", r, c)])
-    witnesses = sorted({x for x, _, _ in defect.entries})
-    if with_witnesses:
-        return {"symmetric_part_trivial": not witnesses, "witnesses": witnesses}
-    return not witnesses
+    return Verdict(sorted({x for x, _, _ in defect.entries}))
 
 
 def xi_from_rmatrix(R: RMatrix) -> PreLieProduct:
@@ -218,27 +184,24 @@ def xi_from_rmatrix(R: RMatrix) -> PreLieProduct:
     <ad*_{e_p} f^j, e_k> = -<f^j,[e_p,e_k]> = -c^j_{pk}, with the
     leading minus sign of the formula).
     """
-    rep = check_rmatrix_symmetric_part(R, with_witnesses=True)
-    if not rep["symmetric_part_trivial"]:
+    rep = check_rmatrix_symmetric_part(R)
+    if not rep:
         raise ValueError(
             "symmetric part of r does not act trivially; witness basis "
-            f"indices {rep['witnesses']}"
+            f"indices {rep.witnesses}"
         )
     n = R.carrier.dim
     xi = tensor_contract("pi,pkj->ijk", R.r, R.carrier.algebra.bracket)
     return PreLieProduct(n, tuple(f"f^{m}" for m in range(n)), xi)
 
 
-def check_cybe(R: RMatrix, with_witnesses=False):
+def check_cybe(R: RMatrix) -> Verdict:
     """Classical Yang-Baxter equation [[r,r]] = [r12,r13]+[r12,r23]+[r13,r23] = 0."""
     c, r = R.carrier.algebra.bracket, R.r
     defect = contract_sum([(1, "ay,apx,pz->xyz", r, c, r),    # [r12, r13]
                            (1, "xb,bpy,pz->xyz", r, c, r),    # [r12, r23]
                            (1, "xb,bqz,yq->xyz", r, c, r)])   # [r13, r23]
-    nonzero = sorted(defect.entries)
-    if with_witnesses:
-        return {"cybe": not nonzero, "witnesses": nonzero}
-    return not nonzero
+    return Verdict(sorted(defect.entries))
 
 
 def change_basis(X: PreLieProduct, P, new_names=None) -> PreLieProduct:

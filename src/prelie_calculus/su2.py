@@ -28,6 +28,7 @@ from .exact_core import (
     Scalar,
     TermMap,
     Tensor,
+    Verdict,
     ZERO,
     accumulate,
 )
@@ -225,8 +226,9 @@ def _form_vec(w0=L_ZERO, wp=L_ZERO, wm=L_ZERO):
     return [w0, wp, wm]
 
 
-def verify_su2_bicrossproduct_omega(with_witnesses=False):
-    """Check the three omega well-definedness identities exactly."""
+def verify_su2_bicrossproduct_omega() -> Verdict:
+    """Check the three omega well-definedness identities exactly; each
+    witness names the failing identity first."""
     failures = []
 
     # the structured commutator formula matches the cubic displays
@@ -265,10 +267,7 @@ def verify_su2_bicrossproduct_omega(with_witnesses=False):
                 if rhs != targets[i][r][s]:
                     failures.append(("omega-display", i, r, s))
 
-    report = {"passed": not failures}
-    if with_witnesses:
-        report["witnesses"] = failures
-    return report
+    return Verdict(failures)
 
 
 # dual Chevalley basis order: 0 = phi, 1 = psi+, 2 = psi-
@@ -284,8 +283,9 @@ def _semiclassical_xi(mutated=False) -> PreLieProduct:
                          Tensor((3, 3, 3), entries))
 
 
-def verify_su2_semiclassical(with_witnesses=False):
-    """Check the semiclassical pre-Lie structure on the dual of su2."""
+def verify_su2_semiclassical() -> Verdict:
+    """Check the semiclassical pre-Lie structure on the dual of su2; the
+    witnesses name the failing steps."""
     failures = []
     X = _semiclassical_xi()
     dual = su2_dual_lie()
@@ -328,7 +328,4 @@ def verify_su2_semiclassical(with_witnesses=False):
     if check_compatibility(_semiclassical_xi(mutated=True), dual):
         failures.append("mutation-not-detected")
 
-    report = {"passed": not failures}
-    if with_witnesses:
-        report["witnesses"] = failures
-    return report
+    return Verdict(failures)

@@ -48,7 +48,7 @@ class TestCatalog:
         """Catalog smoke test: the kind-specific checker suite passes
         for every built-in instance."""
         for entry in load_catalog():
-            report = cli._check_instance(entry, max_len=2)
+            report = cli._as_bools(cli._check_instance(entry, max_len=2))
             assert cli._all_bools_pass(report), (entry["id"], report)
 
 
@@ -715,3 +715,108 @@ class TestCLIReports:
         assert code == 0
         ids = list(json.loads(out))
         assert ids == sorted(ids)
+
+
+# ---------------------------------------------------------------------------
+# every boolean field the CLI prints can fail, or is known not to
+
+
+def _dim2_prelie(rows):
+    return {"id": "dim2", "kind": "prelie", "payload": {"dim": 2, "xi": rows}}
+
+
+def _metric(**payload):
+    return {"id": "uv", "kind": "metric", "payload": payload}
+
+
+NOT_REAL = {"calculus": "b1", "alpha": 3, "c": {"c1": [1, 1, 1, 1], "c3": 2}}
+DEGENERATE = {"calculus": "b1", "alpha": 1, "c": {"c1": 1, "c2": 1, "c3": 1}}
+
+# (command, field) -> the arguments of a run that prints the field false;
+# a dict stands for an instance file holding it
+CAN_FAIL = {
+    # x o t = x
+    ("check", "left_symmetry"):
+        ["check", _dim2_prelie([[0, 1, 0, 1, 1, 0, 1]])],
+    # the zero product over [x,t] = x
+    ("check", "compatibility"): ["check", _dim2_prelie([])],
+    # x o x = x
+    ("check", "flat_right_action"):
+        ["check", _dim2_prelie([[0, 0, 0, 1, 1, 0, 1]])],
+    ("check", "real"): ["check", _metric(**NOT_REAL)],
+    ("check", "nondegenerate"): ["check", _metric(**DEGENERATE)],
+    ("calculus", "first_order"): ["calculus", _dim2_prelie([])],
+    ("metric", "real"): ["metric", "--case", "1", "--alpha", "3",
+                         "--c1", "[1,1,1,1]", "--c3", "2"],
+    ("metric", "nondegenerate"): ["metric", "--case", "1", "--alpha", "1",
+                                  "--c1", "1", "--c2", "1", "--c3", "1"],
+}
+
+CATALOG_ONLY = "no instance file carries this kind; every catalog entry passes"
+CENTRAL = "a metric input is the u,v presentation, and u and v are central"
+WEDGE = "the u,v presentation has a symmetric c-matrix, so dx^dt cancels"
+GROUP_DGA = "follows from the rewrite rules on every valid group DGA"
+CANNOT_FAIL = {
+    ("check", "bicovariance"): "a dim-2 file is checked over an abelian "
+        "carrier: delta_{g*} = 0, so both sides of (Xi-bi) vanish",
+    **{("check", field): CATALOG_ONLY for field in (
+        "antisymmetry", "jacobi", "cocycle", "matched_pair",
+        "symmetric_part_invariant", "cybe", "induced_left_symmetry",
+        "cotangent_bicovariance")},
+    ("check", "central"): CENTRAL,
+    ("check", "wedge_symmetric"): WEDGE,
+    ("check", "passed"): GROUP_DGA,
+    ("calculus", "connected"): "ker d is the constants for every product "
+        "and every lambda (README theorem)",
+    ("metric", "central"): CENTRAL,
+    ("metric", "wedge_symmetric"): WEDGE,
+    ("curvature", "matches_closed_form"): "the classified closed forms "
+        "hold for every u,v metric of cases 1, 2, 4 and 5",
+    ("groupdga", "passed"): GROUP_DGA,
+    ("su2", "passed"): "su2 reads no input",
+}
+
+
+def _argv(tmp_path, items):
+    argv = []
+    for item in items:
+        argv += ["--instance-file", _write(tmp_path, item)] \
+            if isinstance(item, dict) else [item]
+    return argv
+
+
+@pytest.mark.parametrize("command, field", sorted(CAN_FAIL))
+def test_field_can_fail(capsys, tmp_path, command, field):
+    argv = _argv(tmp_path, CAN_FAIL[command, field])
+    assert argv[0] == command
+    code, out, _ = run(capsys, *argv, "--json")
+    (rep,) = json.loads(out).values()
+    assert rep[field] is False
+    assert code == 1
+
+
+def test_every_printed_field_is_classified(capsys, tmp_path):
+    """The boolean fields printed over the whole catalog and the failing
+    inputs above are exactly the classified ones."""
+    catalog = load_catalog()
+
+    def instances(*kinds):
+        return [arg for e in catalog if not kinds or e["kind"] in kinds
+                for arg in ("--instance", e["id"])]
+
+    runs = [["check", *instances()],
+            ["construct", *instances("prelie", "cotangent_input",
+                                     "rmatrix", "bialgebra")],
+            ["calculus", "--max-len", "2", *instances("prelie")],
+            ["groupdga", *instances("group_dga")],
+            ["metric", *instances("metric")],
+            ["curvature", *instances("metric")],
+            ["su2"], ["catalog"]]
+    runs += [_argv(tmp_path, items) for items in CAN_FAIL.values()]
+    printed = set()
+    for argv in runs:
+        _, out, _ = run(capsys, *argv, "--json")
+        printed |= {(argv[0], key) for rep in json.loads(out).values()
+                    for key, val in rep.items() if isinstance(val, bool)}
+    assert not set(CAN_FAIL) & set(CANNOT_FAIL)
+    assert printed == set(CAN_FAIL) | set(CANNOT_FAIL)

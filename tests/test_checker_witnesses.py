@@ -6,7 +6,10 @@ mutations of every input tensor.  ``tests/data/checker_witnesses.json``
 holds the mutations and the results recorded from the dense loop
 checkers that the contraction engine replaced.  Verdicts must match
 exactly and witness lists as multisets (their order is not part of the
-contract).
+contract).  A checker that returns a ``Verdict`` is compared as the pair
+(verdict, witness multiset) with its row, whatever name the row gives
+the verdict.  ``check_bicovariance[bi]`` runs the test-side oracle of
+the "bi" form, ``test_prelie.bicovariance_bi``.
 
 To record the fixture again, from a checker implementation that is
 already trusted:
@@ -40,7 +43,7 @@ from prelie_calculus.constructions import (
     infinitesimal_braiding,
     xi_action_on_g,
 )
-from prelie_calculus.exact_core import Scalar, Tensor, ZERO
+from prelie_calculus.exact_core import Scalar, Tensor, Verdict, ZERO
 from prelie_calculus.liebialg import (
     ActionTensor,
     LieAlgebra,
@@ -68,6 +71,7 @@ from prelie_calculus.prelie import (
     induced_bracket,
     xi_from_rmatrix,
 )
+from test_prelie import bicovariance_bi
 
 FIXTURE = Path(__file__).parent / "data" / "checker_witnesses.json"
 MUTATIONS_PER_TENSOR = 3
@@ -108,48 +112,42 @@ def _matched_pair(t):
 # checker name -> call on a dict of named input tensors
 CALLS = {
     "check_lie_algebra": lambda t: check_lie_algebra(t["c"]),
-    "check_bialgebra_cocycle":
-        lambda t: check_bialgebra_cocycle(_bialg(t), with_witnesses=True),
-    "check_action_axiom": lambda t: check_action_axiom(
-        _action(t["a"]), _lie(t["c"]), with_witnesses=True),
-    "check_right_action_axiom": lambda t: check_right_action_axiom(
-        _action(t["a"]), _lie(t["c"]), with_witnesses=True),
-    "check_matched_pair":
-        lambda t: check_matched_pair(_matched_pair(t), with_witnesses=True),
+    "check_bialgebra_cocycle": lambda t: check_bialgebra_cocycle(_bialg(t)),
+    "check_action_axiom":
+        lambda t: check_action_axiom(_action(t["a"]), _lie(t["c"])),
+    "check_right_action_axiom":
+        lambda t: check_right_action_axiom(_action(t["a"]), _lie(t["c"])),
+    "check_matched_pair": lambda t: check_matched_pair(_matched_pair(t)),
     "double_cross_sum": lambda t: double_cross_sum(_matched_pair(t)),
     "check_crossed_module": lambda t: check_crossed_module(
         _bialg(t), _action(t["act"]), _action(t["act_dual"])),
-    "check_left_symmetry":
-        lambda t: check_left_symmetry(_prelie(t["xi"]), with_witnesses=True),
+    "check_left_symmetry": lambda t: check_left_symmetry(_prelie(t["xi"])),
     "induced_bracket": lambda t: induced_bracket(_prelie(t["xi"])),
-    "check_compatibility": lambda t: check_compatibility(
-        _prelie(t["xi"]), _lie(t["c"]), with_witnesses=True),
-    "check_flat_right_action": lambda t: check_flat_right_action(
-        _prelie(t["xi"]), _lie(t["c"]), with_witnesses=True),
-    "check_bicovariance[Xi-bi]": lambda t: check_bicovariance(
-        _prelie(t["xi"]), _bialg(t), with_witnesses=True, variant="Xi-bi"),
-    "check_bicovariance[bi]": lambda t: check_bicovariance(
-        _prelie(t["xi"]), _bialg(t), with_witnesses=True, variant="bi"),
+    "check_compatibility":
+        lambda t: check_compatibility(_prelie(t["xi"]), _lie(t["c"])),
+    "check_flat_right_action":
+        lambda t: check_flat_right_action(_prelie(t["xi"]), _lie(t["c"])),
+    "check_bicovariance[Xi-bi]":
+        lambda t: check_bicovariance(_prelie(t["xi"]), _bialg(t)),
+    "check_bicovariance[bi]":
+        lambda t: bicovariance_bi(_prelie(t["xi"]), _bialg(t)),
     "check_rmatrix_symmetric_part": lambda t: check_rmatrix_symmetric_part(
-        RMatrix(_bialg(t), t["r"]), with_witnesses=True),
-    "check_cybe":
-        lambda t: check_cybe(RMatrix(_bialg(t), t["r"]), with_witnesses=True),
+        RMatrix(_bialg(t), t["r"])),
+    "check_cybe": lambda t: check_cybe(RMatrix(_bialg(t), t["r"])),
     "xi_from_rmatrix": lambda t: xi_from_rmatrix(RMatrix(_bialg(t), t["r"])),
-    "check_associative":
-        lambda t: check_associative(_prelie(t["xi"]), with_witnesses=True),
+    "check_associative": lambda t: check_associative(_prelie(t["xi"])),
     "_check_commutative": lambda t: _check_commutative(_prelie(t["xi"])),
     "check_module_condition": lambda t: check_module_condition(
         SemidirectInput(_prelie(t["circ"]), _prelie(t["star"]),
-                        _action(t["a"])), with_witnesses=True),
+                        _action(t["a"]))),
     "check_tangent_bicovariance": lambda t: check_tangent_bicovariance(
-        _prelie(t["circ"]), _prelie(t["star"]), _bialg(t),
-        with_witnesses=True),
-    "check_braided_conditions": lambda t: check_braided_conditions(
-        _prelie(t["xi"]), _bialg(t), with_witnesses=True),
+        _prelie(t["circ"]), _prelie(t["star"]), _bialg(t)),
+    "check_braided_conditions":
+        lambda t: check_braided_conditions(_prelie(t["xi"]), _bialg(t)),
     "infinitesimal_braiding":
         lambda t: infinitesimal_braiding(_prelie(t["xi"]), _bialg(t)),
-    "check_cotangent_bicovariance": lambda t: check_cotangent_bicovariance(
-        _cotangent(t), with_witnesses=True),
+    "check_cotangent_bicovariance":
+        lambda t: check_cotangent_bicovariance(_cotangent(t)),
 }
 
 
@@ -277,8 +275,9 @@ def mutate(tensors, mutation):
 
 
 def run_case(checker, tensors):
-    """JSON form of a checker's result; a raised ValueError or
-    AssertionError is a verdict of its own."""
+    """JSON form of a checker's result, a Verdict as {"verdict": bool,
+    "witnesses": [...]}; a raised ValueError or AssertionError is a
+    verdict of its own."""
     try:
         result = CALLS[checker](tensors)
     except (ValueError, AssertionError) as exc:
@@ -291,11 +290,15 @@ def run_case(checker, tensors):
         return {"shape": list(result.shape),
                 "entries": [list(k) + _scalar_json(v)
                             for k, v in sorted(result.entries.items())]}
+    if isinstance(result, Verdict):
+        result = {"verdict": bool(result), "witnesses": result.witnesses}
     return json.loads(json.dumps(result))
 
 
 def canonical(result):
-    """Witness lists sorted, so that comparison is by multiset."""
+    """Witness lists sorted, so that comparison is by multiset; a row of
+    one boolean and its witness list, the boolean under any name,
+    becomes the pair (verdict, sorted witnesses)."""
     if not isinstance(result, dict):
         return result
     out = {}
@@ -305,6 +308,10 @@ def canonical(result):
         elif key == "witnesses":
             val = sorted(val, key=json.dumps)
         out[key] = val
+    flags = [val for key, val in out.items() if key != "witnesses"]
+    if isinstance(out.get("witnesses"), list) and len(flags) == 1 \
+            and isinstance(flags[0], bool):
+        return flags[0], out["witnesses"]
     return out
 
 

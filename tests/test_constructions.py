@@ -114,9 +114,9 @@ class TestModuleCondition:
         star = prelie_from_table(("Xd", "Yd"), {(1, 1): {1: 1}})
         act = ActionTensor(1, 2, Tensor((1, 2, 2), {(0, 1, 1): ONE}))
         S = SemidirectInput(zero_prelie(1, ("a",)), star, act)
-        rep = check_module_condition(S, with_witnesses=True)
-        assert not rep["module_condition"]
-        assert (0, 1, 1) in rep["witnesses"]
+        rep = check_module_condition(S)
+        assert not rep
+        assert (0, 1, 1) in rep.witnesses
 
 
 class TestSemidirect:
@@ -205,11 +205,10 @@ class TestTangentBicovariance:
 
     def test_su2_dual_not_tangent_bicovariant(self):
         rep = check_tangent_bicovariance(
-            su2_dual_prelie(), zero_prelie(3), chevalley_bialgebra(),
-            with_witnesses=True)
-        assert not rep["tangent_bicovariant"]
-        assert ("delta-circ", 0, 0) in rep["witnesses"]
-        assert ("mixed-bracket", 0, 0) in rep["witnesses"]
+            su2_dual_prelie(), zero_prelie(3), chevalley_bialgebra())
+        assert not rep
+        assert ("delta-circ", 0, 0) in rep.witnesses
+        assert ("mixed-bracket", 0, 0) in rep.witnesses
 
 
 class TestBraidedConditions:
@@ -228,9 +227,9 @@ class TestBraidedConditions:
         e[(1, 1, 1)] = ONE  # extra f^t o f^t = f^t keeps compatibility
         bad = PreLieProduct(2, Xq.basis_names, Tensor((2, 2, 2), e))
         assert check_compatibility(bad, induced_bracket(Xq))
-        rep = check_braided_conditions(bad, R.carrier, with_witnesses=True)
-        assert not rep["braided"]
-        assert any(w[0] == "Xi-ass" for w in rep["witnesses"])
+        rep = check_braided_conditions(bad, R.carrier)
+        assert not rep
+        assert any(w[0] == "Xi-ass" for w in rep.witnesses)
 
     def test_incompatible_xi_rejected(self):
         R = b_quasitriangular_rmatrix()
@@ -377,9 +376,9 @@ class TestCotangentBicovariance:
         bad = CotangentInput(
             C.carrier, C.xi, C.circ,
             PreLieProduct(2, C.star.basis_names, Tensor((2, 2, 2), e)))
-        rep = check_cotangent_bicovariance(bad, with_witnesses=True)
-        assert not rep["cotangent_bicovariant"]
-        assert any(w[0] == "star-associative" for w in rep["witnesses"])
+        rep = check_cotangent_bicovariance(bad)
+        assert not rep
+        assert any(w[0] == "star-associative" for w in rep.witnesses)
 
 
 class TestCocycleD:

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from prelie_calculus.exact_core import (
-    I, L_ONE, L_ZERO, LAMBDA, LambdaScalar, ONE, Scalar, Tensor, ZERO,
-    _sorted_forms, accumulate, linear_kernel,
+    I, L_ONE, L_ZERO, LAMBDA, LambdaScalar, ONE, Scalar, Tensor, Verdict,
+    ZERO, _sorted_forms, accumulate, linear_kernel,
 )
 from prelie_calculus.liebialg import LieAlgebra
 from prelie_calculus.prelie import PreLieProduct, prelie_from_table
@@ -137,9 +137,9 @@ def reference_bracket_and_bimodule(m, prelie):
 
 
 def reference_first_order(m, prelie, max_len):
-    """check_first_order(..., with_witnesses=True) from subset_d and
-    reference_form_mul: the Leibniz sweep pair by pair, and (D) and (R)
-    from reference_bracket_and_bimodule."""
+    """The first-order verdict from subset_d and reference_form_mul: the
+    Leibniz sweep over every pair of PBW words, pair by pair, and (D) and
+    (R) from reference_bracket_and_bimodule."""
     n = m.dim
     bracket, bimodule = reference_bracket_and_bimodule(m, prelie)
     witnesses = {"leibniz": [], "bracket": bracket, "bimodule": bimodule}
@@ -160,6 +160,17 @@ def reference_first_order(m, prelie, max_len):
                 witnesses["leibniz"].append((u, v))
     return {"first_order": not any(witnesses.values()),
             "witnesses": witnesses}
+
+
+def tagged_p_witnesses(found):
+    """check_first_order's witnesses from the witness lists of
+    reference_first_order, tagged with their list: (D) and (R) as they
+    are, and the sweep's Leibniz pairs restricted to the (P) pairs
+    (x, w') with x w' a PBW word."""
+    return [(name, *w) for name in ("bracket", "bimodule")
+            for w in found[name]] + [
+        ("leibniz", u, v) for u, v in found["leibniz"]
+        if len(u) == 1 and u[0] <= v[0]]
 
 
 def commutator_bracket(prelie):
@@ -395,10 +406,10 @@ class TestFirstOrder:
 
     def test_broken_prelie_witnessed(self):
         bad = prelie_from_table(("x", "t"), {(0, 0): {1: 1}, (1, 1): {1: 1}})
-        rep = check_first_order(b_lie(), bad, max_len=3,
-                                with_witnesses=True)
-        assert not rep["first_order"]
-        assert rep["witnesses"]["leibniz"]
+        # (P) holds: the Leibniz pairs that fail, such as t . x, are not
+        # of the form x . w' with x w' a PBW word
+        assert check_first_order(b_lie(), bad, max_len=3) \
+            == Verdict([("bracket", 0, 1), ("bimodule", 0, 1)])
 
     def test_su2_dual(self):
         dl = su2_dual_lie()
@@ -413,9 +424,11 @@ class TestFirstOrder:
         (su2_dual_lie(), mutant(su2_dual_prelie(), 1)),
     ], ids=["broken-dim2", "b4-mutant-2", "b4-mutant-4", "su2-mutant-1"])
     def test_witnesses_match_reference(self, m, Xp, max_len):
-        rep = check_first_order(m, Xp, max_len=max_len, with_witnesses=True)
-        assert rep["witnesses"]["leibniz"]
-        assert rep == reference_first_order(m, Xp, max_len)
+        rep = check_first_order(m, Xp, max_len=max_len)
+        found = reference_first_order(m, Xp, max_len)["witnesses"]
+        # the sweep sees each mutant
+        assert found["leibniz"]
+        assert sorted(rep.witnesses) == sorted(tagged_p_witnesses(found))
 
     @pytest.mark.parametrize("dim, max_len", [(1, 1), (2, 3), (2, 5),
                                               (3, 4), (4, 2)])
@@ -436,14 +449,8 @@ class TestFirstOrder:
         test_bimodule_only_mutant."""
         m, Xp = data.draw(products())
         max_len = data.draw(st.sampled_from([3, 4]))
-        assert check_first_order(m, Xp, max_len=max_len) \
+        assert bool(check_first_order(m, Xp, max_len=max_len)) \
             == reference_first_order(m, Xp, max_len)["first_order"]
-
-    @staticmethod
-    def p_holds(leibniz):
-        """(P) passes: no Leibniz witness is a pair (x, w') with x w' a
-        PBW word."""
-        return not any(len(u) == 1 and u[0] <= v[0] for u, v in leibniz)
 
     @pytest.mark.parametrize("Xp, max_len", [
         (prelie_from_table(("x", "t"), {(0, 0): {1: 1}, (1, 1): {1: 1}}), 2),
@@ -455,34 +462,23 @@ class TestFirstOrder:
         Leibniz pair up to max-len sees it (x o x = t o t = t at max-len
         2; su2* with psi+ o psi- = -2 psi- even at max-len 5); only (R)
         does."""
-        rep = check_first_order(commutator_bracket(Xp), Xp, max_len=max_len,
-                                with_witnesses=True)
-        assert rep == {"first_order": False, "witnesses": {
-            "leibniz": [], "bracket": [], "bimodule": [(0, 1)]}}
+        rep = check_first_order(commutator_bracket(Xp), Xp, max_len=max_len)
+        assert rep == Verdict([("bimodule", 0, 1)])
 
     def test_bracket_only_mutant(self):
         """The zero product over [x,t]=x: the bimodule is the classical
         one and d_word the classical derivative, but d(xt - tx) = 0 !=
         lambda dx."""
         zero = PreLieProduct(2, ("x", "t"), Tensor((2, 2, 2), {}))
-        rep = check_first_order(b_lie(), zero, max_len=3,
-                                with_witnesses=True)
-        assert not rep["first_order"]
-        assert rep["witnesses"]["bracket"] == [(0, 1)]
-        assert rep["witnesses"]["bimodule"] == []
-        assert self.p_holds(rep["witnesses"]["leibniz"])
+        rep = check_first_order(b_lie(), zero, max_len=3)
+        assert rep == Verdict([("bracket", 0, 1)])
 
     def test_closed_formula_only_mutant(self, monkeypatch):
         """d_word of b4 with one coefficient of the word x x t changed:
         the relations still hold, and only (P) fails, at x . xt."""
         add_one_to_d_word(monkeypatch, (0, 0, 1), ((0, 0), (1,)))
-        rep = check_first_order(b_lie(), b_family("b4"), max_len=3,
-                                with_witnesses=True)
-        assert not rep["first_order"]
-        assert rep["witnesses"]["bracket"] == []
-        assert rep["witnesses"]["bimodule"] == []
-        assert ((0,), (0, 1)) in rep["witnesses"]["leibniz"]
-        assert not self.p_holds(rep["witnesses"]["leibniz"])
+        rep = check_first_order(b_lie(), b_family("b4"), max_len=3)
+        assert rep == Verdict([("leibniz", (0,), (0, 1))])
 
 
 class TestExteriorD:
@@ -684,7 +680,7 @@ class TestSharedTable:
             misses.clear()
             first = check_first_order(m, X, max_len=max_len)
             kernel = kernel_of_d(m, X, max_len, lam)
-            assert report == {"first_order": first,
+            assert report == {"first_order": bool(first),
                               "kernel_dimension": kernel["dimension"],
                               "connected": kernel["dimension"] == 1}
             assert code == (0 if first else 1)
@@ -703,34 +699,35 @@ class TestSharedTable:
         m = b_lie() if X.dim == 2 else su2_dual_lie()
         lam = Scalar(Fraction(5, 2))
         first, kernel = check_calculus(m, X, 4, lam)
-        assert first is False
+        assert not first
         assert (first, kernel) == (check_first_order(m, X, max_len=4),
                                    kernel_of_d(m, X, 4, lam))
 
 
 class TestWorkCount:
-    """A passing check costs O(words): no Leibniz sweep over pairs, and
-    dga has no elimination to run."""
+    """A check costs O(words), passing or failing: no Leibniz sweep over
+    pairs, and dga has no elimination to run."""
 
     def test_passing_run_sweeps_and_eliminates_nothing(self, monkeypatch,
                                                        capsys):
-        sweeps = counted(monkeypatch, "_leibniz_witnesses")
         pairs = counted(monkeypatch, "_leibniz_holds")
         code = cli.main(["calculus", "--instance", "b4", "--max-len", "5",
                          "--json"])
         assert code == 0
         assert json.loads(capsys.readouterr().out) == {"b4": {
             "connected": True, "first_order": True, "kernel_dimension": 1}}
-        assert sweeps == []
         assert "linear_kernel" not in Path(dga.__file__).read_text()
         # (P): one pair x . w' per PBW word x w' of length 2 to 5
         assert len(pairs) == 3 + 4 + 5 + 6 < leibniz_pairs(2, 5)
 
-    def test_failing_run_takes_the_sweep(self, monkeypatch):
-        sweeps = counted(monkeypatch, "_leibniz_witnesses")
+    def test_failing_run_checks_each_p_pair_once(self, monkeypatch):
+        """A failing run costs what a passing one does, and its leibniz
+        witnesses are the (P) pairs that fail."""
+        add_one_to_d_word(monkeypatch, (0, 0, 1), ((0, 0), (1,)))
         pairs = counted(monkeypatch, "_leibniz_holds")
-        rep = check_first_order(b_lie(), mutant(b_family("b4"), 2),
-                                max_len=5, with_witnesses=True)
-        assert not rep["first_order"] and rep["witnesses"]["leibniz"]
-        assert len(sweeps) == 1
-        assert len(pairs) >= leibniz_pairs(2, 5)
+        rep = check_first_order(b_lie(), b_family("b4"), max_len=5)
+        leibniz = [w[1:] for w in rep.witnesses if w[0] == "leibniz"]
+        assert not rep and leibniz
+        assert [args[1:] for args in pairs] \
+            == [(w[:1], w[1:]) for w in dga._pbw_words(2, 5, min_len=2)]
+        assert set(leibniz) < {args[1:] for args in pairs}

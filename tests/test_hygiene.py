@@ -1,7 +1,9 @@
 """Source hygiene: every name a package module imports is used in that
 module or re-exported through its ``__all__``, every private
-module-level helper is referred to somewhere in the package, and every
-public method of a package class is named somewhere in the project."""
+module-level helper is referred to somewhere in the package, every
+public method of a package class is named somewhere in the project, and
+every public function that the package does not reach is library-only
+API that README names."""
 
 import ast
 from collections import Counter
@@ -149,3 +151,63 @@ CLASS_F = "class C:\n    def f(self):\n        pass\n"
 ])
 def test_dead_method_detector(package, others, expected):
     assert dead_public_methods(package, others) == expected
+
+
+def unreached_public_functions(sources):
+    """(module, name) for each module-level public function that no
+    module names outside the function's own body; an ``__all__`` entry
+    is a string, not a name, so it does not count."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    return sorted(
+        (module, node.name)
+        for module, tree in trees.items() for node in tree.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+        and not any(node.name in _names(other, node)
+                    for other in trees.values()))
+
+
+# the library-only API: public functions that no subcommand reaches,
+# each named in README
+LIBRARY_ONLY = [
+    ("constructions.py", "bisum_bialgebra"),
+    ("constructions.py", "check_tangent_bicovariance"),
+    ("constructions.py", "cocycle_D"),
+    ("constructions.py", "infinitesimal_braiding"),
+    ("constructions.py", "tangent_prelie"),
+    ("dga.py", "check_first_order"),
+    ("dga.py", "differential_d"),
+    ("dga.py", "exterior_d"),
+    ("dga.py", "kernel_of_d"),
+    ("dga.py", "nc_mul"),
+    ("dga.py", "normal_form"),
+    ("dga.py", "omega_word"),
+    ("liebialg.py", "bicross_sum"),
+    ("liebialg.py", "check_crossed_module"),
+    ("liebialg.py", "double_cross_sum"),
+    ("metric.py", "normal_order_localized"),
+    ("prelie.py", "prelie_from_table"),
+]
+
+
+def test_unreached_public_functions_are_the_library_only_api():
+    sources = {module: (SRC / module).read_text() for module in MODULES}
+    assert unreached_public_functions(sources) == LIBRARY_ONLY
+    readme = (ROOT / "README.md").read_text()
+    assert [name for _, name in LIBRARY_ONLY
+            if f"`{name}`" not in readme] == []
+
+
+@pytest.mark.parametrize("sources, expected", [
+    ({"a": "def f():\n    pass\n"}, [("a", "f")]),
+    ({"a": "def f():\n    pass\n__all__ = ['f']\n"}, [("a", "f")]),
+    ({"a": "def f():\n    return f()\n"}, [("a", "f")]),
+    ({"a": "def f():\n    pass\nx = f\n"}, []),
+    ({"a": "def f():\n    pass\n", "b": "from a import f\n"}, []),
+    ({"a": "def f():\n    pass\n", "b": "import a\na.f()\n"}, []),
+    ({"a": "def _f():\n    pass\n"}, []),
+    ({"a": "class C:\n    pass\n"}, []),
+    ({"a": "def g():\n    def f():\n        pass\n    return f\ng()\n"},
+     []),
+])
+def test_unreached_function_detector(sources, expected):
+    assert unreached_public_functions(sources) == expected

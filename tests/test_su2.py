@@ -99,15 +99,14 @@ class TestCrossRelations:
 
 class TestVerifications:
     def test_bicrossproduct_omega_passes(self):
-        assert verify_su2_bicrossproduct_omega()["passed"]
+        assert verify_su2_bicrossproduct_omega()
 
     def test_semiclassical_passes(self):
-        assert verify_su2_semiclassical()["passed"]
+        assert verify_su2_semiclassical()
 
     def test_witness_lists_empty(self):
-        assert verify_su2_semiclassical(with_witnesses=True)["witnesses"] == []
-        assert verify_su2_bicrossproduct_omega(
-            with_witnesses=True)["witnesses"] == []
+        assert verify_su2_semiclassical().witnesses == ()
+        assert verify_su2_bicrossproduct_omega().witnesses == ()
 
     def test_mutated_xi_breaks_compatibility(self):
         from prelie_calculus.su2 import _semiclassical_xi
