@@ -267,9 +267,7 @@ def _check_instance(entry, max_len):
         if bialg is not None:
             report["bicovariance"] = check_bicovariance(obj, bialg)
     elif kind == "bialgebra":
-        lie_rep = check_lie_algebra(obj.algebra.bracket)
-        report["antisymmetry"] = lie_rep["antisymmetry"]
-        report["jacobi"] = lie_rep["jacobi"]
+        report.update(check_lie_algebra(obj.algebra.bracket))
         report["cocycle"] = check_bialgebra_cocycle(obj)
     elif kind == "matched_pair":
         report["matched_pair"] = check_matched_pair(obj)
@@ -375,10 +373,7 @@ def _calculus_report(entry, args):
     lie, _ = _prelie_context(entry, obj)
     if lie is None:
         lie = _precondition(induced_bracket, obj)
-    first, kernel = check_calculus(lie, obj, args.max_len, args.lam)
-    return {"first_order": first,
-            "kernel_dimension": kernel["dimension"],
-            "connected": kernel["dimension"] == 1}
+    return check_calculus(lie, obj, args.max_len, args.lam)
 
 
 def _calculus_bound(entries, args):

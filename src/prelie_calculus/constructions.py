@@ -320,8 +320,7 @@ def bisum_bialgebra(X: PreLieProduct, B: LieBialgebra) -> LieBialgebra:
         LieAlgebra(N, names, bracket),
         LieCoalgebra(N, names, cobracket),
     )
-    lie_rep = check_lie_algebra(out.algebra.bracket)
-    if not (lie_rep["antisymmetry"] and lie_rep["jacobi"]):
+    if not all(check_lie_algebra(out.algebra.bracket).values()):
         raise AssertionError("bisum bracket fails Lie axioms")
     cc = check_bialgebra_cocycle(out)
     if not cc:

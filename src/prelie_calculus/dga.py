@@ -14,7 +14,6 @@ graded algebra with the classical Grassmann wedge on the de_i.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import chain, combinations_with_replacement, product
 from math import comb, prod
 
@@ -23,9 +22,7 @@ from .exact_core import (
     L_ONE,
     ONE,
     Scalar,
-    TermMap,
     Verdict,
-    ZERO,
     _lambda,
     _sorted_forms,
     accumulate,
@@ -33,49 +30,7 @@ from .exact_core import (
 from .liebialg import LieAlgebra, basis_vec
 from .prelie import PreLieProduct
 
-__all__ = [
-    "NCElement",
-    "FormElement",
-    "normal_form",
-    "nc_mul",
-    "omega_word",
-    "differential_d",
-    "form_mul",
-    "exterior_d",
-    "check_first_order",
-    "kernel_of_d",
-    "check_calculus",
-]
-
-
-def _check_pbw(word):
-    word = tuple(word)
-    if any(word[i] > word[i + 1] for i in range(len(word) - 1)):
-        raise ValueError(f"word {word} is not in PBW order")
-    return word
-
-
-class NCElement(TermMap):
-    """Element of U_lambda(m): map from PBW words to LambdaScalar."""
-
-    __slots__ = ("dim",)
-    _fields = ("dim",)
-
-    def __init__(self, dim, terms=None):
-        object.__setattr__(self, "dim", dim)
-        TermMap.__init__(self, terms)
-
-    @staticmethod
-    def _checked(pairs):
-        return ((_check_pbw(word), c) for word, c in pairs)
-
-    @staticmethod
-    def unit(dim):
-        return NCElement(dim, {(): L_ONE})
-
-    @staticmethod
-    def generator(dim, i):
-        return NCElement(dim, {(i,): L_ONE})
+__all__ = ["check_calculus"]
 
 
 def _rewrite_word(word, coeff, bracket, leftmost=True):
@@ -99,69 +54,6 @@ def _rewrite_word(word, coeff, bracket, leftmost=True):
                 stack.append((w[:i] + (k,) + w[i + 2:], c * LAMBDA * s))
 
 
-def normal_form(word, m: LieAlgebra, leftmost=True) -> NCElement:
-    """PBW normal form of a basis word, using x y - y x = lambda [x,y]."""
-    return NCElement._nonzero(accumulate(
-        _rewrite_word(word, L_ONE, m.bracket, leftmost=leftmost)), m.dim)
-
-
-def nc_mul(a: NCElement, b: NCElement, m: LieAlgebra) -> NCElement:
-    if a.dim != b.dim or a.dim != m.dim:
-        raise ValueError("dimension mismatch")
-    return NCElement._nonzero(accumulate(
-        pair
-        for wa, ca in a.terms.items()
-        for wb, cb in b.terms.items()
-        for pair in _rewrite_word(wa + wb, ca * cb, m.bracket)), a.dim)
-
-
-def omega_word(word, prelie: PreLieProduct):
-    """omega(x_1 ... x_n) = ((x_1 <| x_2) ... <| x_n) with y <| x = -x o y.
-
-    Returns a Scalar coefficient vector in m.
-    """
-    word = tuple(word)
-    if not word:
-        raise ValueError("omega is only defined on nonempty words")
-    n = prelie.dim
-    v = basis_vec(n, word[0])
-    for x in word[1:]:
-        v = [-c for c in prelie.product(basis_vec(n, x), v)]
-    return v
-
-
-class FormElement(TermMap):
-    """Element of the exterior calculus: map (PBW word, strictly
-    increasing Grassmann monomial over the de_i) -> LambdaScalar."""
-
-    __slots__ = ("dim",)
-    _fields = ("dim",)
-
-    def __init__(self, dim, terms=None):
-        object.__setattr__(self, "dim", dim)
-        TermMap.__init__(self, terms)
-
-    @staticmethod
-    def _checked(pairs):
-        for (word, forms), c in pairs:
-            forms = tuple(forms)
-            if any(forms[i] >= forms[i + 1] for i in range(len(forms) - 1)):
-                raise ValueError(f"monomial {forms} not strictly increasing")
-            yield (_check_pbw(word), forms), c
-
-    @staticmethod
-    def from_nc(e: NCElement):
-        return FormElement._nonzero(
-            {(w, ()): c for w, c in e.terms.items()}, e.dim)
-
-    @staticmethod
-    def d_generator(dim, i):
-        return FormElement(dim, {((), (i,)): L_ONE})
-
-    def grades(self):
-        return sorted({len(f) for (_, f) in self.terms})
-
-
 def _times(a, b):
     """a * b, skipping a factor that is the L_ONE object: the unit
     coefficient that _rewrite_word and accumulate pass on unchanged, and
@@ -172,10 +64,9 @@ def _times(a, b):
 class _Calculus:
     """Memo tables for the calculus of one pre-Lie product and, for
     products, its Lie algebra m: omega and d of each PBW word, the normal
-    form of each word and forms moved past each word.  Each public call
-    builds its own instance, so no table outlives the call; a calculus
-    job, check_calculus, shares its one instance between the first-order
-    and the connectedness check."""
+    form of each word and forms moved past each word.  check_calculus
+    builds one instance per call, so no table outlives the call, and
+    shares it between the first-order and the connectedness check."""
 
     def __init__(self, prelie: PreLieProduct, m: LieAlgebra = None):
         self.prelie = prelie
@@ -186,7 +77,9 @@ class _Calculus:
         self._past = {}
 
     def omega(self, word):
-        """omega_word of a nonempty word, from omega(w x) = -x o omega(w)."""
+        """omega(x_1 ... x_n) = ((x_1 <| x_2) ... <| x_n) with
+        y <| x = -x o y, a Scalar coefficient vector in m, for a nonempty
+        word: built by suffix, omega(w x) = -x o omega(w)."""
         v = self._omega.get(word)
         if v is None:
             n, x = self.prelie.dim, word[-1]
@@ -197,7 +90,14 @@ class _Calculus:
         return v
 
     def d_word(self, word):
-        """Terms of d of a PBW word (see differential_d).
+        """Terms of d of a PBW word: for x_1...x_n,
+
+          d(x_1...x_n) = sum over splittings of the word into an ordered
+          prefix subsequence and a nonempty suffix subsequence of
+              lambda^(len(suffix)-1) prefix (x) omega(suffix)
+
+        so that d(x) = dx and the lambda powers make d agree with the
+        bimodule relation [x, dy] = lambda d(x o y).
 
         On a sorted word the prefix and the suffix depend only on how
         many copies c_a of each letter a go to the suffix, so the 2^n
@@ -295,49 +195,6 @@ class _Calculus:
         return accumulate(pieces())
 
 
-def differential_d(e: NCElement, prelie: PreLieProduct) -> FormElement:
-    """d on U_lambda(m): for a PBW word x_1...x_n,
-
-      d(x_1...x_n) = sum over splittings of the word into an ordered
-      prefix subsequence and a nonempty suffix subsequence of
-          lambda^(len(suffix)-1) prefix (x) omega(suffix)
-
-    so that d(x) = dx and the lambda powers make d agree with the
-    bimodule relation [x, dy] = lambda d(x o y).  Splittings that take
-    as many copies of each letter into the suffix are summed at once,
-    so a word costs prod(multiplicity + 1) over its letters, not 2^n.
-    """
-    if e.dim != prelie.dim:
-        raise ValueError("dimension mismatch")
-    return FormElement._nonzero(_Calculus(prelie).d(e.terms), e.dim)
-
-
-def form_mul(a: FormElement, b: FormElement, m: LieAlgebra,
-             prelie: PreLieProduct) -> FormElement:
-    """Product in the differential graded algebra U_lambda(m) |x Lambda."""
-    if a.dim != b.dim or a.dim != m.dim or a.dim != prelie.dim:
-        raise ValueError("dimension mismatch")
-    return FormElement._nonzero(
-        _Calculus(prelie, m).form_mul(a.terms, b.terms), a.dim)
-
-
-def exterior_d(e: FormElement, prelie: PreLieProduct) -> FormElement:
-    """d extended as a graded super-derivation with d(de_i) = 0."""
-    if e.dim != prelie.dim:
-        raise ValueError("dimension mismatch")
-    calc = _Calculus(prelie)
-
-    def pieces():
-        for (word, forms), c in e.terms.items():
-            for (w, (k,)), q in calc.d_word(word).items():
-                sf = _sorted_forms((k,) + forms)
-                if sf is not None:
-                    sign, wedge = sf
-                    yield (w, wedge), q * c * sign
-
-    return FormElement._nonzero(accumulate(pieces()), e.dim)
-
-
 def _pbw_words(dim, max_len, min_len=0):
     for ln in range(min_len, max_len + 1):
         for word in combinations_with_replacement(range(dim), ln):
@@ -383,10 +240,9 @@ def _leibniz_holds(calc, u, v):
         (1, calc.form_mul({(u, ()): L_ONE}, calc.d_word(v))))
 
 
-def check_first_order(m: LieAlgebra, prelie: PreLieProduct,
-                      max_len=4) -> Verdict:
+def _first_order(calc, max_len):
     """Exact consistency of the first-order calculus on U_lambda(m), with
-    lambda formal.
+    lambda formal, on the tables of calc.
 
     The calculus is defined by generators and relations, so d extends
     from d(x) = dx to a derivation of U_lambda(m) exactly when, for all
@@ -404,13 +260,6 @@ def check_first_order(m: LieAlgebra, prelie: PreLieProduct,
     Witnesses are tagged with their identity: ("bracket", x, y),
     ("bimodule", x, y) and ("leibniz", (x,), w').
     """
-    if prelie.dim != m.dim:
-        raise ValueError("dimension mismatch")
-    return _first_order(_Calculus(prelie, m), max_len)
-
-
-def _first_order(calc, max_len):
-    """The body of check_first_order, on the tables of calc."""
     n = calc.prelie.dim
     generators = [(x, y) for x in range(n) for y in range(x + 1, n)]
     return Verdict(chain(
@@ -453,38 +302,25 @@ def _connected(calc, words, lam):
     return True
 
 
-def kernel_of_d(m: LieAlgebra, prelie: PreLieProduct, n: int,
-                lambda_value: Scalar) -> dict:
-    """Kernel of d on the PBW filtration level U_n at a numeric lambda.
-
-    Returns the kernel dimension, the word basis of U_n and kernel
-    vectors in that basis.  The kernel is the constants for every
-    product and every lambda (README); the triangular certificate of
-    _connected checks that on this d table, and a table that fails it
-    is an internal error.
-    """
-    return _kernel(_Calculus(prelie, m), n, lambda_value)
-
-
-def _kernel(calc, n, lambda_value):
-    """The body of kernel_of_d, on the d table of calc."""
-    lam = lambda_value if isinstance(lambda_value, Scalar) \
-        else Scalar(Fraction(lambda_value))
-    words = list(_pbw_words(calc.m.dim, n))
-    if not _connected(calc, words, lam):
-        raise AssertionError(
-            f"d table fails the connectedness certificate at n = {n}")
-    return {"dimension": 1, "words": words,
-            "kernel": [[ONE] + [ZERO] * (len(words) - 1)]}
-
-
 def check_calculus(m: LieAlgebra, prelie: PreLieProduct, max_len: int,
-                   lambda_value: Scalar):
-    """The calculus verdict: the pair (check_first_order(m, prelie,
-    max_len), kernel_of_d(m, prelie, max_len, lambda_value)), read off
-    one set of tables, so that each PBW word is differentiated once."""
+                   lambda_value: Scalar) -> dict:
+    """The calculus report on U_lambda(m) for words up to max_len,
+    {"first_order": Verdict, "kernel_dimension": 1, "connected": True},
+    read off one set of tables, so that each PBW word is differentiated
+    once.
+
+    The first-order Verdict is that of the (R)/(D)/(P) certificate of
+    _first_order.  The kernel of d on the PBW filtration level U_max_len
+    at lambda = lambda_value is the constants for every product and
+    every lambda (README); the triangular certificate of _connected
+    checks that on this d table, and a table that fails it raises
+    AssertionError, an internal error.
+    """
     if prelie.dim != m.dim:
         raise ValueError("dimension mismatch")
     calc = _Calculus(prelie, m)
-    return (_first_order(calc, max_len),
-            _kernel(calc, max_len, lambda_value))
+    first = _first_order(calc, max_len)
+    if not _connected(calc, _pbw_words(m.dim, max_len), lambda_value):
+        raise AssertionError("d table fails the connectedness certificate "
+                             f"at n = {max_len}")
+    return {"first_order": first, "kernel_dimension": 1, "connected": True}

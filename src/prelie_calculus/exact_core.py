@@ -833,13 +833,10 @@ class TermMap:
 
     Subclasses validate (and may normalize) keys in ``_checked``, which
     only the public constructor runs; results built from terms that are
-    already valid go through ``_nonzero``.  Attributes named in
-    ``_fields`` (such as ``dim``) are carried along and take part in
-    equality.
+    already valid go through ``_nonzero``.
     """
 
     __slots__ = ("terms",)
-    _fields = ()
 
     def __init__(self, terms=None):
         object.__setattr__(self, "terms", accumulate(self._checked(
@@ -851,20 +848,12 @@ class TermMap:
         return pairs
 
     @classmethod
-    def _nonzero(cls, terms, *fields):
+    def _nonzero(cls, terms):
         """Instance over a dict of nonzero coefficients whose keys are
-        already valid, with the values of ``_fields`` in order."""
+        already valid."""
         out = object.__new__(cls)
-        for name, value in zip(cls._fields, fields):
-            object.__setattr__(out, name, value)
         object.__setattr__(out, "terms", terms)
         return out
-
-    def _header(self):
-        return tuple(getattr(self, name) for name in self._fields)
-
-    def _like(self, terms):
-        return self._nonzero(terms, *self._header())
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -876,22 +865,22 @@ class TermMap:
     def __add__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self._like(accumulate(chain(self.terms.items(),
-                                           other.terms.items())))
+        return self._nonzero(accumulate(chain(self.terms.items(),
+                                              other.terms.items())))
 
     def __sub__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self._like(accumulate(chain(
+        return self._nonzero(accumulate(chain(
             self.terms.items(), ((k, -q) for k, q in other.terms.items()))))
 
     def __neg__(self):
-        return self._like({k: -q for k, q in self.terms.items()})
+        return self._nonzero({k: -q for k, q in self.terms.items()})
 
     def scale(self, s):
         s = s if isinstance(s, LambdaScalar) else LambdaScalar(s)
-        return self._like(accumulate((k, q * s)
-                                     for k, q in self.terms.items()))
+        return self._nonzero(accumulate((k, q * s)
+                                        for k, q in self.terms.items()))
 
     def is_zero(self):
         return not self.terms
@@ -899,10 +888,10 @@ class TermMap:
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self._header() == other._header() and self.terms == other.terms
+        return self.terms == other.terms
 
     def __hash__(self):
-        return hash((self._header(), frozenset(self.terms.items())))
+        return hash(frozenset(self.terms.items()))
 
     def __repr__(self):
         return f"{type(self).__name__}({self.terms!r})"
@@ -938,7 +927,7 @@ class GenPoly(TermMap):
         """Commutative product (classical limit bookkeeping)."""
         if not isinstance(other, GenPoly):
             return NotImplemented
-        return self._like(accumulate(
+        return self._nonzero(accumulate(
             ((a1 + a2, b1 + b2), q1 * q2)
             for (a1, b1), q1 in self.terms.items()
             for (a2, b2), q2 in other.terms.items()))
@@ -972,7 +961,7 @@ def genpoly_derivative(f: GenPoly, var: str) -> GenPoly:
     else:
         pairs = (((a, b - 1), q * LambdaScalar(Scalar(b)))
                  for (a, b), q in f.terms.items() if b != 0)
-    return f._like(accumulate(pairs))
+    return f._nonzero(accumulate(pairs))
 
 
 class RatFunc:

@@ -137,27 +137,20 @@ def _leading(t: Tensor, r):
 
 
 def check_lie_algebra(c: Tensor):
-    """Antisymmetry and Jacobi for a shape-(n,n,n) bracket tensor.
-
-    Returns a dict with booleans and witness index tuples.
-    """
+    """Antisymmetry and Jacobi for a shape-(n,n,n) bracket tensor: a
+    Verdict for each, {"antisymmetry": ..., "jacobi": ...}.  The
+    witnesses are the (i, j, k) with i <= j where [e_i,e_j] + [e_j,e_i]
+    has a nonzero e_k component, and the (i, j, k) on which Jacobi
+    fails."""
     if len(c.shape) != 3 or len(set(c.shape)) != 1:
         raise ValueError(f"expected shape (n,n,n), got {c.shape}")
     symmetric = contract_sum([(1, "ijk->ijk", c), (1, "jik->ijk", c)])
-    anti_witnesses = [key for key in sorted(symmetric.entries)
-                      if key[0] <= key[1]]
     jacobi = contract_sum([(1, "ijm,mko->ijko", c, c),
                            (1, "jkm,mio->ijko", c, c),
                            (1, "kim,mjo->ijko", c, c)])
-    jac_witnesses = _leading(jacobi, 3)
-    return {
-        "antisymmetry": not anti_witnesses,
-        "jacobi": not jac_witnesses,
-        "witnesses": {
-            "antisymmetry": anti_witnesses,
-            "jacobi": jac_witnesses,
-        },
-    }
+    return {"antisymmetry": Verdict(key for key in sorted(symmetric.entries)
+                                    if key[0] <= key[1]),
+            "jacobi": Verdict(_leading(jacobi, 3))}
 
 
 def check_bialgebra_cocycle(B: LieBialgebra) -> Verdict:
@@ -297,9 +290,8 @@ def double_cross_sum(P: MatchedPair) -> LieAlgebra:
         entries[(j, mi(a), mi(b))] = -v
     out = LieAlgebra(n, names, Tensor((n, n, n), entries))
     rep = check_lie_algebra(out.bracket)
-    if not (rep["antisymmetry"] and rep["jacobi"]):
-        raise AssertionError("double cross sum failed Lie axioms "
-                             f"(witnesses {rep['witnesses']})")
+    if not all(rep.values()):
+        raise AssertionError(f"double cross sum failed Lie axioms ({rep})")
     return out
 
 
@@ -363,8 +355,7 @@ def bicross_sum(P: MatchedPair, m_bialgebra: LieBialgebra,
         LieAlgebra(n, names, bracket),
         LieCoalgebra(n, names, Tensor((n, n, n), co_entries)),
     )
-    rep = check_lie_algebra(out.algebra.bracket)
-    if not (rep["antisymmetry"] and rep["jacobi"]):
+    if not all(check_lie_algebra(out.algebra.bracket).values()):
         raise AssertionError("bicross sum bracket fails Lie axioms")
     cc = check_bialgebra_cocycle(out)
     if not cc:
@@ -388,7 +379,10 @@ def check_crossed_module(B: LieBialgebra, act: ActionTensor,
     where delta x = x(1) (x) x(2) is B's cobracket and delta phi =
     phi(1) (x) phi(2) is the g* cobracket (transpose of B's bracket).
     ``full`` additionally requires act_dual to be a genuine action of
-    the dual Lie algebra.
+    the dual Lie algebra.  Returns a Verdict for each, {"almost": ...,
+    "full": ...}: "almost" is witnessed by the (phi, x, v) index triples
+    on which the condition fails, and "full" by those, followed by
+    ("dual_action", *w) for each witness w of the dual action axiom.
     """
     n = B.dim
     if act.actor_dim != n or act_dual.actor_dim != n:
@@ -404,7 +398,8 @@ def check_crossed_module(B: LieBialgebra, act: ActionTensor,
                            (1, "iap,avo->pivo", d, a),
                            (-1, "pvm,imo->pivo", a_dual, a),
                            (1, "ivm,pmo->pivo", a, a_dual)])
-    witnesses = _leading(defect, 3)
-    almost = not witnesses
-    full = almost and bool(check_action_axiom(act_dual, dual.algebra))
-    return {"almost": almost, "full": full, "witnesses": witnesses}
+    almost = _leading(defect, 3)
+    dual_action = check_action_axiom(act_dual, dual.algebra).witnesses
+    return {"almost": Verdict(almost),
+            "full": Verdict([*almost, *(("dual_action", *w)
+                                        for w in dual_action)])}

@@ -95,10 +95,9 @@ def induced_bracket(X: PreLieProduct) -> LieAlgebra:
     bracket = contract_sum([(1, "ijk->ijk", X.xi), (-1, "jik->ijk", X.xi)])
     L = LieAlgebra(X.dim, X.basis_names, bracket)
     rep = check_lie_algebra(L.bracket)
-    if not (rep["antisymmetry"] and rep["jacobi"]):
+    if not all(rep.values()):
         raise AssertionError("induced bracket of a left-symmetric product "
-                             "must satisfy Jacobi "
-                             f"(witnesses {rep['witnesses']})")
+                             f"must satisfy Jacobi ({rep})")
     return L
 
 

@@ -84,7 +84,7 @@ class SL2Poly(TermMap):
     def __mul__(self, other):
         if type(other) is not SL2Poly:
             return NotImplemented
-        return self._like(accumulate(_ad_rewritten(
+        return self._nonzero(accumulate(_ad_rewritten(
             (tuple(e1 + e2 for e1, e2 in zip(k1, k2)), q1 * q2)
             for k1, q1 in self.terms.items()
             for k2, q2 in other.terms.items())))

@@ -17,6 +17,7 @@ from prelie_calculus.exact_core import (
     RatFunc,
     Scalar,
     Tensor,
+    Verdict,
     ZERO,
     ratfunc_equal,
 )
@@ -51,7 +52,7 @@ from prelie_calculus.catalog import (
     su2_dual_lie,
     su2_dual_prelie,
 )
-from prelie_calculus.dga import check_first_order, kernel_of_d
+from prelie_calculus.dga import check_calculus
 from prelie_calculus.metric import (
     DT,
     DX,
@@ -208,8 +209,9 @@ def test_criterion_4_calculus_engine():
     cases.append((su2_dual_lie(), su2_dual_prelie()))
     ok = True
     for m, X in cases:
-        ok = ok and check_first_order(m, X, max_len=4)
-        ok = ok and kernel_of_d(m, X, 4, Scalar(1))["dimension"] == 1
+        ok = ok and check_calculus(m, X, 4, Scalar(1)) == {
+            "first_order": Verdict(), "kernel_dimension": 1,
+            "connected": True}
     elapsed = time.monotonic() - t0
     report(4, "first-order calculus + connectedness", ok and elapsed < 30.0)
 

@@ -758,7 +758,8 @@ WEDGE = "the u,v presentation has a symmetric c-matrix, so dx^dt cancels"
 GROUP_DGA = "follows from the rewrite rules on every valid group DGA"
 CANNOT_FAIL = {
     ("check", "bicovariance"): "a dim-2 file is checked over an abelian "
-        "carrier: delta_{g*} = 0, so both sides of (Xi-bi) vanish",
+        "carrier: delta_{g*} = 0, so both sides of (Xi-bi) vanish "
+        "(README theorem)",
     **{("check", field): CATALOG_ONLY for field in (
         "antisymmetry", "jacobi", "cocycle", "matched_pair",
         "symmetric_part_invariant", "cybe", "induced_left_symmetry",

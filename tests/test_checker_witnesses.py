@@ -8,7 +8,12 @@ checkers that the contraction engine replaced.  Verdicts must match
 exactly and witness lists as multisets (their order is not part of the
 contract).  A checker that returns a ``Verdict`` is compared as the pair
 (verdict, witness multiset) with its row, whatever name the row gives
-the verdict.  ``check_bicovariance[bi]`` runs the test-side oracle of
+the verdict.  The reports of ``check_lie_algebra`` and
+``check_crossed_module``, a ``Verdict`` per identity, are compared in
+the rows' shape of one bool per identity plus their witnesses; the
+fixture holds the witnesses of "almost" for the crossed module, whose
+"full" witnesses add the tagged failures of the dual action axiom.
+``check_bicovariance[bi]`` runs the test-side oracle of
 the "bi" form, ``test_prelie.bicovariance_bi``.
 
 To record the fixture again, from a checker implementation that is
@@ -276,7 +281,8 @@ def mutate(tensors, mutation):
 
 def run_case(checker, tensors):
     """JSON form of a checker's result, a Verdict as {"verdict": bool,
-    "witnesses": [...]}; a raised ValueError or AssertionError is a
+    "witnesses": [...]} and a report of Verdicts as a bool per identity
+    and "witnesses"; a raised ValueError or AssertionError is a
     verdict of its own."""
     try:
         result = CALLS[checker](tensors)
@@ -292,6 +298,16 @@ def run_case(checker, tensors):
                             for k, v in sorted(result.entries.items())]}
     if isinstance(result, Verdict):
         result = {"verdict": bool(result), "witnesses": result.witnesses}
+    elif checker == "check_lie_algebra":
+        result = {**{key: bool(v) for key, v in result.items()},
+                  "witnesses": {key: v.witnesses
+                                for key, v in result.items()}}
+    elif checker == "check_crossed_module":
+        almost, full = result["almost"].witnesses, result["full"].witnesses
+        assert full[:len(almost)] == almost
+        assert all(w[0] == "dual_action" for w in full[len(almost):])
+        result = {"almost": not almost, "full": not full,
+                  "witnesses": almost}
     return json.loads(json.dumps(result))
 
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from prelie_calculus.exact_core import (
-    I, L_ONE, L_ZERO, LAMBDA, LambdaScalar, ONE, Scalar, Tensor, Verdict,
+    I, L_ONE, LAMBDA, LambdaScalar, ONE, Scalar, Tensor, Verdict,
     ZERO, _sorted_forms, accumulate, linear_kernel,
 )
 from prelie_calculus.liebialg import LieAlgebra
@@ -26,22 +26,20 @@ from prelie_calculus.catalog import (
 )
 from prelie_calculus import cli, dga
 from prelie_calculus.dga import (
-    FormElement,
-    NCElement,
+    _Calculus,
+    _connected,
+    _first_order,
+    _pbw_words,
+    _rewrite_word,
+    _signed_sum,
     check_calculus,
-    check_first_order,
-    differential_d,
-    exterior_d,
-    form_mul,
-    kernel_of_d,
-    nc_mul,
-    normal_form,
-    omega_word,
 )
 
 
 # -- reference implementations: the defining sums, term by term, with no
-# grouping and no memo tables; the library must agree with them exactly
+# grouping; the library must agree with them exactly.  Elements are plain
+# term dicts: PBW word -> coefficient in U_lambda(m), and (PBW word,
+# strictly increasing form monomial) -> coefficient for forms
 
 def leibniz_pairs(dim, max_len):
     """Number of pairs (u, v) of nonempty PBW words with len(u) + len(v)
@@ -51,11 +49,12 @@ def leibniz_pairs(dim, max_len):
         - 2 * comb(dim + max_len, max_len) + 1
 
 
-def subset_d(e: NCElement, prelie: PreLieProduct) -> FormElement:
+def subset_d(terms, prelie: PreLieProduct):
     """d by its definition: one term per nonempty subset of positions
-    taken as the suffix, with a fresh omega_word for each subset."""
+    taken as the suffix, with the omega of each subset's letters."""
+    calc = _Calculus(prelie)
     pairs = []
-    for word, c in e.terms.items():
+    for word, c in terms.items():
         n = len(word)
         cl = c
         for s in range(1, n + 1):
@@ -63,11 +62,11 @@ def subset_d(e: NCElement, prelie: PreLieProduct) -> FormElement:
                 prefix = tuple(word[i] for i in range(n)
                                if i not in suffix_pos)
                 suffix = tuple(word[i] for i in suffix_pos)
-                for k, comp in enumerate(omega_word(suffix, prelie)):
+                for k, comp in enumerate(calc.omega(suffix)):
                     if not comp.is_zero():
                         pairs.append(((prefix, (k,)), cl * comp))
             cl = cl * LAMBDA
-    return FormElement(e.dim, accumulate(pairs))
+    return accumulate(pairs)
 
 
 def forms_past_word(forms, word, prelie):
@@ -90,20 +89,20 @@ def forms_past_word(forms, word, prelie):
 
 def reference_form_mul(a, b, m, prelie):
     pairs = []
-    for (u, eta), ca in a.terms.items():
-        for (v, xi), cb in b.terms.items():
+    for (u, eta), ca in a.items():
+        for (v, xi), cb in b.items():
             for (w, eta2), cc in forms_past_word(eta, v, prelie).items():
                 sf = _sorted_forms(eta2 + xi)
                 if sf is None:
                     continue
                 sign, wedge = sf
-                for pw, pc in normal_form(u + w, m).terms.items():
+                for pw, pc in _rewrite_word(u + w, L_ONE, m.bracket):
                     pairs.append(((pw, wedge), pc * ca * cb * cc * sign))
-    return FormElement(a.dim, accumulate(pairs))
+    return accumulate(pairs)
 
 
 def reference_bracket_and_bimodule(m, prelie):
-    """The (D) and (R) witnesses of check_first_order from subset_d and
+    """The (D) and (R) witnesses of _first_order from subset_d and
     reference_form_mul: pairs x < y with dx.y + x.dy - dy.x - y.dx -
     lambda d[x,y] != 0, and pairs x < y with (de_k . x) . y - (de_k . y)
     . x - de_k . lambda[x,y] != 0 for some k."""
@@ -112,26 +111,26 @@ def reference_bracket_and_bimodule(m, prelie):
 
     def moved(k, *factors):
         """de_k times the factors, one product at a time."""
-        out = FormElement.d_generator(n, k)
+        out = {((), (k,)): L_ONE}
         for f in factors:
             out = reference_form_mul(out, f, m, prelie)
         return out
 
     for x, y in combinations(range(n), 2):
-        ex, ey = NCElement.generator(n, x), NCElement.generator(n, y)
-        fx, fy = FormElement.from_nc(ex), FormElement.from_nc(ey)
+        ex, ey = {(x,): L_ONE}, {(y,): L_ONE}
+        fx, fy = {((x,), ()): L_ONE}, {((y,), ()): L_ONE}
         dx, dy = subset_d(ex, prelie), subset_d(ey, prelie)
-        lie = NCElement(n, {(k,): LAMBDA * m.bracket.get(x, y, k)
-                            for k in range(n)})
-        defect = reference_form_mul(dx, fy, m, prelie) \
-            + reference_form_mul(fx, dy, m, prelie) \
-            - reference_form_mul(dy, fx, m, prelie) \
-            - reference_form_mul(fy, dx, m, prelie) - subset_d(lie, prelie)
-        if not defect.is_zero():
+        lie = accumulate(((k,), LAMBDA * m.bracket.get(x, y, k))
+                         for k in range(n))
+        if _signed_sum((1, reference_form_mul(dx, fy, m, prelie)),
+                       (1, reference_form_mul(fx, dy, m, prelie)),
+                       (-1, reference_form_mul(dy, fx, m, prelie)),
+                       (-1, reference_form_mul(fy, dx, m, prelie)),
+                       (-1, subset_d(lie, prelie))):
             bracket.append((x, y))
-        flie = FormElement.from_nc(lie)
-        if any(not (moved(k, fx, fy) - moved(k, fy, fx)
-                    - moved(k, flie)).is_zero() for k in range(n)):
+        flie = {(w, ()): c for w, c in lie.items()}
+        if any(_signed_sum((1, moved(k, fx, fy)), (-1, moved(k, fy, fx)),
+                           (-1, moved(k, flie))) for k in range(n)):
             bimodule.append((x, y))
     return bracket, bimodule
 
@@ -150,12 +149,14 @@ def reference_first_order(m, prelie, max_len):
 
     for u in words(max_len - 1):
         for v in words(max_len - len(u)):
-            eu, ev = NCElement(n, {u: L_ONE}), NCElement(n, {v: L_ONE})
-            lhs = subset_d(nc_mul(eu, ev, m), prelie)
-            rhs = reference_form_mul(subset_d(eu, prelie),
-                                     FormElement.from_nc(ev), m, prelie) \
-                + reference_form_mul(FormElement.from_nc(eu),
-                                     subset_d(ev, prelie), m, prelie)
+            eu, ev = {u: L_ONE}, {v: L_ONE}
+            lhs = subset_d(accumulate(_rewrite_word(u + v, L_ONE, m.bracket)),
+                           prelie)
+            rhs = _signed_sum(
+                (1, reference_form_mul(subset_d(eu, prelie),
+                                       {(v, ()): L_ONE}, m, prelie)),
+                (1, reference_form_mul({(u, ()): L_ONE},
+                                       subset_d(ev, prelie), m, prelie)))
             if lhs != rhs:
                 witnesses["leibniz"].append((u, v))
     return {"first_order": not any(witnesses.values()),
@@ -163,7 +164,7 @@ def reference_first_order(m, prelie, max_len):
 
 
 def tagged_p_witnesses(found):
-    """check_first_order's witnesses from the witness lists of
+    """_first_order's witnesses from the witness lists of
     reference_first_order, tagged with their list: (D) and (R) as they
     are, and the sweep's Leibniz pairs restricted to the (P) pairs
     (x, w') with x w' a PBW word."""
@@ -182,15 +183,15 @@ def commutator_bracket(prelie):
 
 
 def reference_kernel(m, prelie, n, lam):
-    """kernel_of_d by elimination: the matrix of d on the PBW words up to
-    length n at lambda = lam, one row per (prefix, forms) key, reduced by
-    linear_kernel."""
+    """The kernel of d by elimination: the matrix of d_word on the PBW
+    words up to length n at lambda = lam, one row per (prefix, forms)
+    key, reduced by linear_kernel."""
     words = [w for ln in range(n + 1)
              for w in combinations_with_replacement(range(prelie.dim), ln)]
+    calc = _Calculus(prelie, m)
     rows = {}
     for j, w in enumerate(words):
-        d = differential_d(NCElement(prelie.dim, {w: L_ONE}), prelie)
-        for key, c in d.terms.items():
+        for key, c in calc.d_word(w).items():
             val = c.evaluate(lam)
             if not val.is_zero():
                 rows.setdefault(key, [ZERO] * len(words))[j] = val
@@ -266,19 +267,20 @@ def products(draw):
 class TestNormalForm:
     def test_ordered_word_unchanged(self):
         m = b_lie()
-        assert normal_form((0, 0, 1), m).terms == {(0, 0, 1): L_ONE}
+        assert accumulate(_rewrite_word((0, 0, 1), L_ONE, m.bracket)) \
+            == {(0, 0, 1): L_ONE}
 
     def test_b_single_swap(self):
         # t x = x t - lambda x since x t - t x = lambda x
         m = b_lie()
-        assert normal_form((1, 0), m).terms == {
+        assert accumulate(_rewrite_word((1, 0), L_ONE, m.bracket)) == {
             (0, 1): L_ONE, (0,): -LAMBDA,
         }
 
     def test_su2_swap(self):
         # e2 e1 = e1 e2 - lambda e3
         m = su2_bialgebra().algebra
-        assert normal_form((1, 0), m).terms == {
+        assert accumulate(_rewrite_word((1, 0), L_ONE, m.bracket)) == {
             (0, 1): L_ONE, (2,): -LAMBDA,
         }
 
@@ -288,57 +290,50 @@ class TestNormalForm:
         for _ in range(40):
             word = tuple(rng.randrange(m.dim)
                          for _ in range(rng.randint(2, 6)))
-            left = normal_form(word, m, leftmost=True)
-            right = normal_form(word, m, leftmost=False)
+            left = accumulate(_rewrite_word(word, L_ONE, m.bracket))
+            right = accumulate(_rewrite_word(word, L_ONE, m.bracket,
+                                             leftmost=False))
             assert left == right
 
     def test_mul_associative(self):
-        m = su2_bialgebra().algebra
-        a = NCElement(3, {(0, 2): L_ONE})
-        b = NCElement(3, {(1,): L_ONE, (): LAMBDA})
-        c = NCElement(3, {(0,): L_ONE})
-        assert nc_mul(nc_mul(a, b, m), c, m) == nc_mul(a, nc_mul(b, c, m), m)
-
-    def test_unordered_input_rejected(self):
-        with pytest.raises(ValueError):
-            NCElement(2, {(1, 0): L_ONE})
+        """The product of 0-forms is the product of U_lambda(su2*)."""
+        calc = _Calculus(su2_dual_prelie(), su2_dual_lie())
+        a = {((0, 2), ()): L_ONE}
+        b = {((1,), ()): L_ONE, ((), ()): LAMBDA}
+        c = {((0,), ()): L_ONE}
+        assert calc.form_mul(calc.form_mul(a, b), c) \
+            == calc.form_mul(a, calc.form_mul(b, c))
 
 
 class TestOmega:
     def test_length_one(self):
         Xp = b_family("b3")
-        assert omega_word((1,), Xp) == [ZERO, ONE]
+        assert _Calculus(Xp).omega((1,)) == [ZERO, ONE]
 
     def test_b1_xt(self):
         # omega(x t) = x <| t = -t o x = x
         Xp = b_family("b1", Fraction(5))
-        assert omega_word((0, 1), Xp) == [ONE, ZERO]
+        assert _Calculus(Xp).omega((0, 1)) == [ONE, ZERO]
 
     def test_b1_tt(self):
         # omega(t t) = -t o t = -alpha t
         Xp = b_family("b1", Fraction(5))
-        assert omega_word((1, 1), Xp) == [ZERO, Scalar(-5)]
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            omega_word((), b_family("b4"))
+        assert _Calculus(Xp).omega((1, 1)) == [ZERO, Scalar(-5)]
 
 
 class TestDifferential:
     def test_d_unit(self):
         Xp = b_family("b4")
-        assert differential_d(NCElement.unit(2), Xp).is_zero()
+        assert _Calculus(Xp).d({(): L_ONE}) == {}
 
     def test_d_generator(self):
         Xp = b_family("b4")
-        d = differential_d(NCElement.generator(2, 0), Xp)
-        assert d.terms == {((), (0,)): L_ONE}
+        assert _Calculus(Xp).d_word((0,)) == {((), (0,)): L_ONE}
 
     def test_b1_d_xt(self):
         # d(x t) = x dt + t dx + lambda dx (the last from omega(xt) = x)
         Xp = b_family("b1", Fraction(3))
-        d = differential_d(NCElement(2, {(0, 1): L_ONE}), Xp)
-        assert d.terms == {
+        assert _Calculus(Xp).d_word((0, 1)) == {
             ((0,), (1,)): L_ONE,
             ((1,), (0,)): L_ONE,
             ((), (0,)): LAMBDA,
@@ -348,10 +343,9 @@ class TestDifferential:
                              ids=lambda v: v if isinstance(v, str) else "")
     def test_matches_subset_sum_on_all_words(self, iid, m, Xp):
         max_len = 6 if Xp.dim == 2 else 5
-        for ln in range(max_len + 1):
-            for w in combinations_with_replacement(range(Xp.dim), ln):
-                e = NCElement(Xp.dim, {w: L_ONE})
-                assert differential_d(e, Xp) == subset_d(e, Xp), w
+        calc = _Calculus(Xp, m)
+        for w in _pbw_words(Xp.dim, max_len):
+            assert calc.d_word(w) == subset_d({w: L_ONE}, Xp), w
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), dim=st.sampled_from([2, 3]))
@@ -368,11 +362,9 @@ class TestDifferential:
             lambda w: tuple(sorted(w)))
         coeff = st.lists(scalar, min_size=1, max_size=3).map(LambdaScalar)
         terms = data.draw(st.dictionaries(words, coeff, max_size=4))
-        e = NCElement(dim, terms)
-        assert differential_d(e, Xp) == subset_d(e, Xp)
+        assert _Calculus(Xp).d(terms) == subset_d(terms, Xp)
 
     def test_no_subset_enumeration_in_src(self):
-        import prelie_calculus.dga as dga
         tree = ast.parse(Path(dga.__file__).read_text())
         names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
         names |= {a.name for n in ast.walk(tree)
@@ -380,40 +372,39 @@ class TestDifferential:
         assert "combinations" not in names
 
     def test_linear(self):
-        Xp = b_family("b5")
-        e = NCElement(2, {(0, 1): Scalar(2), (1, 1): I})
-        d = differential_d(e, Xp)
-        parts = differential_d(NCElement(2, {(0, 1): L_ONE}), Xp) \
-            .scale(Scalar(2)) \
-            + differential_d(NCElement(2, {(1, 1): L_ONE}), Xp).scale(I)
-        assert d == parts
+        calc = _Calculus(b_family("b5"))
+        two, i = LambdaScalar(Scalar(2)), LambdaScalar(I)
+        parts = accumulate(
+            pair for w, c in (((0, 1), two), ((1, 1), i))
+            for pair in ((key, q * c) for key, q in calc.d_word(w).items()))
+        assert calc.d({(0, 1): two, (1, 1): i}) == parts
 
 
 class TestFirstOrder:
     def test_b2_exact(self):
-        assert check_first_order(b_lie(), b_family("b2", Fraction(1)),
-                                 max_len=3)
+        assert _first_order(_Calculus(b_family("b2", Fraction(1)), b_lie()),
+                            3)
 
     def test_families_exact(self):
         m = b_lie()
         for _, Xp in all_families():
-            assert check_first_order(m, Xp, max_len=3)
+            assert _first_order(_Calculus(Xp, m), 3)
 
     def test_classical_calculus(self):
         ab = LieAlgebra(2, ("a", "b"), Tensor((2, 2, 2), {}))
         zp = PreLieProduct(2, ("a", "b"), Tensor((2, 2, 2), {}))
-        assert check_first_order(ab, zp, max_len=3)
+        assert _first_order(_Calculus(zp, ab), 3)
 
     def test_broken_prelie_witnessed(self):
         bad = prelie_from_table(("x", "t"), {(0, 0): {1: 1}, (1, 1): {1: 1}})
         # (P) holds: the Leibniz pairs that fail, such as t . x, are not
         # of the form x . w' with x w' a PBW word
-        assert check_first_order(b_lie(), bad, max_len=3) \
+        assert _first_order(_Calculus(bad, b_lie()), 3) \
             == Verdict([("bracket", 0, 1), ("bimodule", 0, 1)])
 
     def test_su2_dual(self):
         dl = su2_dual_lie()
-        assert check_first_order(dl, su2_dual_prelie(), max_len=3)
+        assert _first_order(_Calculus(su2_dual_prelie(), dl), 3)
 
     @pytest.mark.parametrize("max_len", [3, 4])
     @pytest.mark.parametrize("m, Xp", [
@@ -424,7 +415,7 @@ class TestFirstOrder:
         (su2_dual_lie(), mutant(su2_dual_prelie(), 1)),
     ], ids=["broken-dim2", "b4-mutant-2", "b4-mutant-4", "su2-mutant-1"])
     def test_witnesses_match_reference(self, m, Xp, max_len):
-        rep = check_first_order(m, Xp, max_len=max_len)
+        rep = _first_order(_Calculus(Xp, m), max_len)
         found = reference_first_order(m, Xp, max_len)["witnesses"]
         # the sweep sees each mutant
         assert found["leibniz"]
@@ -449,7 +440,7 @@ class TestFirstOrder:
         test_bimodule_only_mutant."""
         m, Xp = data.draw(products())
         max_len = data.draw(st.sampled_from([3, 4]))
-        assert bool(check_first_order(m, Xp, max_len=max_len)) \
+        assert bool(_first_order(_Calculus(Xp, m), max_len)) \
             == reference_first_order(m, Xp, max_len)["first_order"]
 
     @pytest.mark.parametrize("Xp, max_len", [
@@ -462,7 +453,7 @@ class TestFirstOrder:
         Leibniz pair up to max-len sees it (x o x = t o t = t at max-len
         2; su2* with psi+ o psi- = -2 psi- even at max-len 5); only (R)
         does."""
-        rep = check_first_order(commutator_bracket(Xp), Xp, max_len=max_len)
+        rep = _first_order(_Calculus(Xp, commutator_bracket(Xp)), max_len)
         assert rep == Verdict([("bimodule", 0, 1)])
 
     def test_bracket_only_mutant(self):
@@ -470,89 +461,96 @@ class TestFirstOrder:
         one and d_word the classical derivative, but d(xt - tx) = 0 !=
         lambda dx."""
         zero = PreLieProduct(2, ("x", "t"), Tensor((2, 2, 2), {}))
-        rep = check_first_order(b_lie(), zero, max_len=3)
+        rep = _first_order(_Calculus(zero, b_lie()), 3)
         assert rep == Verdict([("bracket", 0, 1)])
 
     def test_closed_formula_only_mutant(self, monkeypatch):
         """d_word of b4 with one coefficient of the word x x t changed:
         the relations still hold, and only (P) fails, at x . xt."""
         add_one_to_d_word(monkeypatch, (0, 0, 1), ((0, 0), (1,)))
-        rep = check_first_order(b_lie(), b_family("b4"), max_len=3)
+        rep = _first_order(_Calculus(b_family("b4"), b_lie()), 3)
         assert rep == Verdict([("leibniz", (0,), (0, 1))])
+
+
+def d_forms(calc, terms):
+    """d on forms, the graded super-derivation with d(de_i) = 0: the
+    terms of d_word(word) wedged in front of the forms of each term."""
+    return accumulate(((w, sf[1]), q * c * sf[0])
+                      for (word, forms), c in terms.items()
+                      for (w, (k,)), q in calc.d_word(word).items()
+                      if (sf := _sorted_forms((k,) + forms)) is not None)
 
 
 class TestExteriorD:
     def test_d_of_dx(self):
-        Xp = b_family("b3")
-        assert exterior_d(FormElement.d_generator(2, 0), Xp).is_zero()
+        calc = _Calculus(b_family("b3"))
+        assert d_forms(calc, {((), (0,)): L_ONE}) == {}
 
     def test_d_x_dt(self):
-        Xp = b_family("b3")
-        xdt = FormElement(2, {((0,), (1,)): L_ONE})
-        assert exterior_d(xdt, Xp).terms == {((), (0, 1)): L_ONE}
+        calc = _Calculus(b_family("b3"))
+        assert d_forms(calc, {((0,), (1,)): L_ONE}) \
+            == {((), (0, 1)): L_ONE}
 
     def test_d_squared_on_words(self):
         """d^2 = 0 exactly in lambda on all PBW words of length <= 4."""
-        from prelie_calculus.dga import _pbw_words
         cases = [(b_lie(), Xp) for _, Xp in all_families()]
         cases.append((su2_dual_lie(), su2_dual_prelie()))
         for m, Xp in cases:
+            calc = _Calculus(Xp, m)
             for w in _pbw_words(m.dim, 4, min_len=1):
-                e = NCElement(m.dim, {w: L_ONE})
-                assert exterior_d(differential_d(e, Xp), Xp).is_zero()
+                assert d_forms(calc, calc.d_word(w)) == {}
 
     def test_super_derivation(self):
         """d(xi eta) = (d xi) eta + (-1)^|xi| xi (d eta) on mixed grades."""
-        m = b_lie()
-        Xp = b_family("b4")
+        calc = _Calculus(b_family("b4"), b_lie())
         samples = [
-            FormElement(2, {((0, 1), ()): L_ONE}),          # grade 0
-            FormElement(2, {((1,), (0,)): L_ONE}),          # grade 1
-            FormElement(2, {((0,), (1,)): LAMBDA, ((), (0,)): L_ONE}),
-            FormElement(2, {((), (0, 1)): L_ONE}),          # grade 2
+            {((0, 1), ()): L_ONE},                          # grade 0
+            {((1,), (0,)): L_ONE},                          # grade 1
+            {((0,), (1,)): LAMBDA, ((), (0,)): L_ONE},
+            {((), (0, 1)): L_ONE},                          # grade 2
         ]
         grades = [0, 1, 1, 2]
         for a, ga in zip(samples, grades):
             for b in samples:
-                lhs = exterior_d(form_mul(a, b, m, Xp), Xp)
-                sign = Scalar(1 if ga % 2 == 0 else -1)
-                rhs = form_mul(exterior_d(a, Xp), b, m, Xp) \
-                    + form_mul(a, exterior_d(b, Xp), m, Xp).scale(sign)
-                assert (lhs - rhs).is_zero()
+                lhs = d_forms(calc, calc.form_mul(a, b))
+                rhs = _signed_sum(
+                    (1, calc.form_mul(d_forms(calc, a), b)),
+                    ((-1) ** ga, calc.form_mul(a, d_forms(calc, b))))
+                assert lhs == rhs
 
     def test_form_mul_anticommutes_generators(self):
-        m = b_lie()
-        Xp = b_family("b1", Fraction(1))
-        dx = FormElement.d_generator(2, 0)
-        dt = FormElement.d_generator(2, 1)
-        assert (form_mul(dx, dt, m, Xp)
-                + form_mul(dt, dx, m, Xp)).is_zero()
-        assert form_mul(dx, dx, m, Xp).is_zero()
+        calc = _Calculus(b_family("b1", Fraction(1)), b_lie())
+        dx, dt = {((), (0,)): L_ONE}, {((), (1,)): L_ONE}
+        assert _signed_sum((1, calc.form_mul(dx, dt)),
+                           (1, calc.form_mul(dt, dx))) == {}
+        assert calc.form_mul(dx, dx) == {}
 
 
 class TestKernel:
     def test_degree_zero(self):
-        r = kernel_of_d(b_lie(), b_family("b4"), 0, ONE)
-        assert r["dimension"] == 1
+        rep = check_calculus(b_lie(), b_family("b4"), 0, ONE)
+        assert rep["kernel_dimension"] == 1
 
     def test_b_families_connected(self):
         m = b_lie()
         for _, Xp in all_families():
-            r = kernel_of_d(m, Xp, 4, ONE)
-            assert r["dimension"] == 1
+            assert check_calculus(m, Xp, 4, ONE) == {
+                "first_order": Verdict(), "kernel_dimension": 1,
+                "connected": True}
 
     def test_b1_alpha3_n3(self):
-        r = kernel_of_d(b_lie(), b_family("b1", Fraction(3)), 3, ONE)
-        assert r["dimension"] == 1
+        m, Xp = b_lie(), b_family("b1", Fraction(3))
+        assert check_calculus(m, Xp, 3, ONE)["kernel_dimension"] == 1
         # the kernel is spanned by the unit word
-        (vec,) = r["kernel"]
-        unit_col = r["words"].index(())
+        ref = reference_kernel(m, Xp, 3, ONE)
+        (vec,) = ref["kernel"]
+        unit_col = ref["words"].index(())
         assert not vec[unit_col].is_zero()
         assert all(v.is_zero() for i, v in enumerate(vec) if i != unit_col)
 
     def test_su2_dual_connected(self):
-        r = kernel_of_d(su2_dual_lie(), su2_dual_prelie(), 4, ONE)
-        assert r["dimension"] == 1
+        rep = check_calculus(su2_dual_lie(), su2_dual_prelie(), 4, ONE)
+        assert rep["connected"] and rep["kernel_dimension"] == 1
 
     @pytest.mark.parametrize("lam", [Fraction(0), Fraction(1),
                                      Fraction(3, 7)])
@@ -560,16 +558,15 @@ class TestKernel:
                              ids=lambda v: v if isinstance(v, str) else "")
     def test_rank_and_kernel_match_sympy(self, iid, m, Xp, lam):
         n = 4 if Xp.dim == 2 else 3
-        self.assert_matches_sympy(kernel_of_d(m, Xp, n, Scalar(lam)), Xp,
-                                  lam)
+        rep = check_calculus(m, Xp, n, Scalar(lam))
+        self.assert_matches_sympy(rep, list(_pbw_words(Xp.dim, n)), Xp, lam)
 
     @staticmethod
-    def assert_matches_sympy(rep, Xp, lam):
-        """The matrix of d at lambda, built from subset_d on the words
-        kernel_of_d returns: sympy's rank plus the kernel dimension is
-        the number of words, and each kernel vector is annihilated."""
+    def assert_matches_sympy(rep, words, Xp, lam):
+        """The matrix of d at lambda, built from subset_d on the words:
+        sympy's rank plus the reported kernel dimension is the number of
+        words, and the constants, the unit word, are annihilated."""
         sympy = pytest.importorskip("sympy")
-        words = rep["words"]
 
         def exact(s):
             return sympy.Rational(s.re.numerator, s.re.denominator) \
@@ -577,15 +574,13 @@ class TestKernel:
 
         rows = {}
         for j, w in enumerate(words):
-            d = subset_d(NCElement(Xp.dim, {w: L_ONE}), Xp)
-            for key, c in d.terms.items():
+            for key, c in subset_d({w: L_ONE}, Xp).items():
                 rows.setdefault(key, [0] * len(words))[j] = \
                     exact(c.evaluate(Scalar(lam)))
         matrix = sympy.Matrix(list(rows.values())).to_DM()
-        assert matrix.rank() + rep["dimension"] == len(words)
-        for vec in rep["kernel"]:
-            column = sympy.Matrix([exact(v) for v in vec]).to_DM()
-            assert (matrix * column.convert_to(matrix.domain)).is_zero_matrix
+        assert matrix.rank() + rep["kernel_dimension"] == len(words)
+        unit = sympy.Matrix([int(w == ()) for w in words]).to_DM()
+        assert (matrix * unit.convert_to(matrix.domain)).is_zero_matrix
 
     LAMBDAS = [Scalar(0), Scalar(1), Scalar(Fraction(3, 7)), Scalar(-2)]
 
@@ -593,8 +588,13 @@ class TestKernel:
     @pytest.mark.parametrize("iid, m, Xp", catalog_products(),
                              ids=lambda v: v if isinstance(v, str) else "")
     def test_certificate_matches_elimination(self, iid, m, Xp, lam):
+        """check_calculus reports the kernel that elimination finds: the
+        constants."""
         n = 5 if Xp.dim == 2 else 4
-        assert kernel_of_d(m, Xp, n, lam) == reference_kernel(m, Xp, n, lam)
+        ref = reference_kernel(m, Xp, n, lam)
+        assert check_calculus(m, Xp, n, lam)["kernel_dimension"] \
+            == ref["dimension"] == 1
+        assert ref["kernel"] == [[ONE] + [ZERO] * (len(ref["words"]) - 1)]
 
     @settings(max_examples=30, deadline=None)
     @given(data=st.data())
@@ -605,7 +605,10 @@ class TestKernel:
         m, Xp = data.draw(products())
         lam = data.draw(st.sampled_from(self.LAMBDAS))
         n = data.draw(st.integers(0, 4 if Xp.dim == 2 else 3))
-        assert kernel_of_d(m, Xp, n, lam) == reference_kernel(m, Xp, n, lam)
+        ref = reference_kernel(m, Xp, n, lam)
+        assert check_calculus(m, Xp, n, lam)["kernel_dimension"] \
+            == ref["dimension"] == 1
+        assert ref["kernel"] == [[ONE] + [ZERO] * (len(ref["words"]) - 1)]
 
     def test_diagonal_mutant_raises(self, monkeypatch):
         """With the coefficient of xt dx in d(x x t) changed from 2 to 3
@@ -613,7 +616,8 @@ class TestKernel:
         fails the certificate, an internal error."""
         add_one_to_d_word(monkeypatch, (0, 0, 1), ((0, 1), (0,)))
         with pytest.raises(AssertionError, match="certificate"):
-            kernel_of_d(b_lie(), b_family("b4"), 4, Scalar(Fraction(3, 7)))
+            check_calculus(b_lie(), b_family("b4"), 4,
+                           Scalar(Fraction(3, 7)))
 
 
 def add_one_to_d_word(monkeypatch, word, key):
@@ -658,8 +662,9 @@ def d_word_misses(monkeypatch):
 
 class TestSharedTable:
     """A calculus job reads the first-order and the connectedness
-    certificate off one d table: its report is that of the two public
-    checks, and it differentiates each word once."""
+    certificate off one d table: its report is that of the two
+    certificates on tables of their own, and it differentiates each word
+    once."""
 
     LAMBDAS = [("0", Scalar(0)), ("[-3, 7]", Scalar(Fraction(-3, 7)))]
 
@@ -678,18 +683,21 @@ class TestSharedTable:
             job_words = set(misses)
 
             misses.clear()
-            first = check_first_order(m, X, max_len=max_len)
-            kernel = kernel_of_d(m, X, max_len, lam)
+            first = _first_order(_Calculus(X, m), max_len)
+            assert _connected(_Calculus(X, m), _pbw_words(m.dim, max_len),
+                              lam)
             assert report == {"first_order": bool(first),
-                              "kernel_dimension": kernel["dimension"],
-                              "connected": kernel["dimension"] == 1}
+                              "kernel_dimension": 1, "connected": True}
             assert code == (0 if first else 1)
-            # the two calls build a table each, and both need most words
+            # the two certificates build a table each, and both need
+            # most words
             assert set(misses) == job_words
             assert max(misses.values()) == 2
 
             misses.clear()
-            assert check_calculus(m, X, max_len, lam) == (first, kernel)
+            assert check_calculus(m, X, max_len, lam) == {
+                "first_order": first, "kernel_dimension": 1,
+                "connected": True}
             assert set(misses.values()) == {1}
 
     @pytest.mark.parametrize("X", [mutant(b_family("b4"), 2),
@@ -698,10 +706,11 @@ class TestSharedTable:
     def test_failing_product(self, X):
         m = b_lie() if X.dim == 2 else su2_dual_lie()
         lam = Scalar(Fraction(5, 2))
-        first, kernel = check_calculus(m, X, 4, lam)
-        assert not first
-        assert (first, kernel) == (check_first_order(m, X, max_len=4),
-                                   kernel_of_d(m, X, 4, lam))
+        rep = check_calculus(m, X, 4, lam)
+        assert not rep["first_order"]
+        assert rep == {"first_order": _first_order(_Calculus(X, m), 4),
+                       "kernel_dimension": 1, "connected": True}
+        assert _connected(_Calculus(X, m), _pbw_words(X.dim, 4), lam)
 
 
 class TestWorkCount:
@@ -725,9 +734,9 @@ class TestWorkCount:
         witnesses are the (P) pairs that fail."""
         add_one_to_d_word(monkeypatch, (0, 0, 1), ((0, 0), (1,)))
         pairs = counted(monkeypatch, "_leibniz_holds")
-        rep = check_first_order(b_lie(), b_family("b4"), max_len=5)
+        rep = _first_order(_Calculus(b_family("b4"), b_lie()), 5)
         leibniz = [w[1:] for w in rep.witnesses if w[0] == "leibniz"]
         assert not rep and leibniz
         assert [args[1:] for args in pairs] \
-            == [(w[:1], w[1:]) for w in dga._pbw_words(2, 5, min_len=2)]
+            == [(w[:1], w[1:]) for w in _pbw_words(2, 5, min_len=2)]
         assert set(leibniz) < {args[1:] for args in pairs}

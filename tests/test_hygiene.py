@@ -174,13 +174,6 @@ LIBRARY_ONLY = [
     ("constructions.py", "cocycle_D"),
     ("constructions.py", "infinitesimal_braiding"),
     ("constructions.py", "tangent_prelie"),
-    ("dga.py", "check_first_order"),
-    ("dga.py", "differential_d"),
-    ("dga.py", "exterior_d"),
-    ("dga.py", "kernel_of_d"),
-    ("dga.py", "nc_mul"),
-    ("dga.py", "normal_form"),
-    ("dga.py", "omega_word"),
     ("liebialg.py", "bicross_sum"),
     ("liebialg.py", "check_crossed_module"),
     ("liebialg.py", "double_cross_sum"),

@@ -6,9 +6,10 @@ from hypothesis import Phase, given, settings, strategies as st
 
 from prelie_calculus import metric
 from prelie_calculus.catalog import b_family, b_lie
-from prelie_calculus.dga import FormElement, form_mul
+from prelie_calculus.dga import _Calculus
 from prelie_calculus.exact_core import (
     GenPoly,
+    L_ONE,
     LambdaScalar,
     ONE,
     RatFunc,
@@ -184,17 +185,16 @@ class TestFormRuleFromXi:
     def test_matches_dga_form_mul(self, calc, param):
         """d(xi) . x^a t^b agrees with dga's product of d(xi) with the
         PBW word x^a t^b over b, for a, b <= 3: two modules, one rule."""
-        prelie, lie = b_family(calc, param), b_lie()
+        dga = _Calculus(b_family(calc, param), b_lie())
         for xi in (DX, DT):
-            dxi = FormElement.d_generator(2, xi)
             for a in range(4):
                 for b in range(4):
                     word = (0,) * a + (1,) * b
-                    got = form_mul(dxi, FormElement(2, {(word, ()): 1}),
-                                   lie, prelie)
+                    got = dga.form_mul({((), (xi,)): L_ONE},
+                                       {(word, ()): L_ONE})
                     expect = {
                         (forms[0], (Fraction(w.count(0)), w.count(1))): q
-                        for (w, forms), q in got.terms.items()}
+                        for (w, forms), q in got.items()}
                     assert flat(form_past_func(
                         calc, param, xi, GenPoly.monomial(a, b))) == expect
 
@@ -202,15 +202,14 @@ class TestFormRuleFromXi:
     def test_two_form_matches_dga_form_mul(self, calc, param):
         """dx ^ dt . x^a t^b agrees with dga's product for a, b <= 2: the
         function passes dt first, then dx."""
-        prelie, lie = b_family(calc, param), b_lie()
-        area = FormElement(2, {((), (DX, DT)): 1})
+        dga = _Calculus(b_family(calc, param), b_lie())
         for a in range(3):
             for b in range(3):
                 word = (0,) * a + (1,) * b
-                got = form_mul(area, FormElement(2, {(word, ()): 1}),
-                               lie, prelie)
+                got = dga.form_mul({((), (DX, DT)): L_ONE},
+                                   {(word, ()): L_ONE})
                 expect = {}
-                for (w, forms), q in got.terms.items():
+                for (w, forms), q in got.items():
                     expect.setdefault(forms, {})[w.count(0), w.count(1)] = q
                 expect = {forms: GenPoly(f) for forms, f in expect.items()}
                 assert normal_order_localized(
