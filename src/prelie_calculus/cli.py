@@ -60,16 +60,18 @@ from .su2 import verify_su2_bicrossproduct_omega, verify_su2_semiclassical
 USAGE_ERROR, CHECK_FAILED, SCHEMA_ERROR = 2, 1, 3
 
 # `calculus` refuses a run over more PBW words than this, counting the
-# empty word: C(dim + max-len, max-len).  The slowest admitted run
-# measured, a dense dim-3 instance file at --max-len 12 (455 words),
-# takes 2.8 s on a 2-vCPU machine under Python 3.11; dense dim-4 at
-# --max-len 8 (495 words) takes 1.7 s and b4 at --max-len 30 about 1 s
+# empty word: C(dim + max-len, max-len).  The first order costs O(dim^2)
+# products whatever the max-len, so a run costs d of each word once, for
+# the connectedness certificate.  The slowest admitted run measured, a
+# dense dim-3 instance file at --max-len 12 (455 words), takes 0.45 s on
+# a 2-vCPU machine under Python 3.11; dense dim-4 at --max-len 8 (495
+# words) takes 0.32 s and b4 at --max-len 30 0.34 s
 MAX_PBW_WORDS = 500
 # and any run with words longer than this: a word of length n carries
 # lambda-polynomials of degree up to n, so the cost per word grows with
-# n and the word count alone does not bound dim 1 (x o x = x takes
-# 0.5 s at --max-len 100, 3.3 s at 200 and 41 s at 499).  Dim 2 meets
-# the word limit at this length too
+# n and the word count alone does not bound dim 1 (x o x = x takes 7 ms
+# at --max-len 30, 0.08 s at 100, 0.5 s at 200 and 7 s at 499).  Dim 2
+# meets the word limit at this length too
 MAX_WORD_LEN = 30
 # `groupdga`, and `check` on a group_dga instance, apply d twice to each
 # monomial alpha^A g of a group of order s on n points with |A| up to

@@ -534,10 +534,6 @@ class Tensor:
                             for k, (re, im) in entries.items() if re or im})
         return t
 
-    @staticmethod
-    def kronecker(n):
-        return Tensor((n, n), {(i, i): ONE for i in range(n)})
-
 
 def _tuple_getter(positions):
     """Key projection that always returns a tuple."""

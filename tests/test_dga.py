@@ -15,7 +15,12 @@ from prelie_calculus.exact_core import (
     ZERO, _sorted_forms, accumulate, linear_kernel,
 )
 from prelie_calculus.liebialg import LieAlgebra
-from prelie_calculus.prelie import PreLieProduct, prelie_from_table
+from prelie_calculus.prelie import (
+    PreLieProduct,
+    check_compatibility,
+    check_left_symmetry,
+    prelie_from_table,
+)
 from prelie_calculus.catalog import (
     b_family,
     b_lie,
@@ -101,6 +106,29 @@ def reference_form_mul(a, b, m, prelie):
     return accumulate(pairs)
 
 
+def d_terms(calc, terms):
+    """Terms of d of the element of U_lambda(m) with these terms: d_word
+    extended linearly."""
+    return accumulate((key, q * c) for word, c in terms.items()
+                      for key, q in calc.d_word(word).items())
+
+
+def leibniz_holds(calc, u, v):
+    """d(uv) = (du)v + u(dv) for nonempty PBW words u and v, on the
+    tables of calc."""
+    return d_terms(calc, calc.normal(u + v)) == _signed_sum(
+        (1, calc.form_mul(calc.d_word(u), {(v, ()): L_ONE})),
+        (1, calc.form_mul({(u, ()): L_ONE}, calc.d_word(v))))
+
+
+def p_failures(calc, max_len):
+    """The (P) sweep, the oracle of README's "(P) is a theorem of the
+    closed formula": the Leibniz pairs (x, w') with x w' a PBW word of
+    length 2 to max_len where d_word(x w') != dx.w' + x.dw'."""
+    return [(w[:1], w[1:]) for w in _pbw_words(calc.prelie.dim, max_len)
+            if len(w) >= 2 and not leibniz_holds(calc, w[:1], w[1:])]
+
+
 def reference_bracket_and_bimodule(m, prelie):
     """The (D) and (R) witnesses of _first_order from subset_d and
     reference_form_mul: pairs x < y with dx.y + x.dy - dy.x - y.dx -
@@ -163,15 +191,11 @@ def reference_first_order(m, prelie, max_len):
             "witnesses": witnesses}
 
 
-def tagged_p_witnesses(found):
-    """_first_order's witnesses from the witness lists of
-    reference_first_order, tagged with their list: (D) and (R) as they
-    are, and the sweep's Leibniz pairs restricted to the (P) pairs
-    (x, w') with x w' a PBW word."""
+def tagged_witnesses(found):
+    """_first_order's witnesses from the (D) and (R) witness lists of
+    reference_first_order, tagged with their list."""
     return [(name, *w) for name in ("bracket", "bimodule")
-            for w in found[name]] + [
-        ("leibniz", u, v) for u, v in found["leibniz"]
-        if len(u) == 1 and u[0] <= v[0]]
+            for w in found[name]]
 
 
 def commutator_bracket(prelie):
@@ -235,7 +259,7 @@ def all_families():
 @st.composite
 def products(draw):
     """(Lie algebra, product): a dim-2 product over [x,t]=x, or a dim-3
-    product over its commutator bracket or the abelian one.  The
+    product over its commutator bracket, su2* or the abelian one.  The
     product is a left-symmetric one (a catalog product, or b4 plus a
     zero third basis vector), one of those with one coefficient
     changed, or a sparse random one."""
@@ -261,7 +285,8 @@ def products(draw):
     if dim == 2:
         return b_lie(), Xp
     abelian = LieAlgebra(3, Xp.basis_names, Tensor((3, 3, 3), {}))
-    return draw(st.sampled_from([commutator_bracket(Xp), abelian])), Xp
+    return draw(st.sampled_from([commutator_bracket(Xp), su2_dual_lie(),
+                                 abelian])), Xp
 
 
 class TestNormalForm:
@@ -324,7 +349,7 @@ class TestOmega:
 class TestDifferential:
     def test_d_unit(self):
         Xp = b_family("b4")
-        assert _Calculus(Xp).d({(): L_ONE}) == {}
+        assert d_terms(_Calculus(Xp), {(): L_ONE}) == {}
 
     def test_d_generator(self):
         Xp = b_family("b4")
@@ -362,7 +387,7 @@ class TestDifferential:
             lambda w: tuple(sorted(w)))
         coeff = st.lists(scalar, min_size=1, max_size=3).map(LambdaScalar)
         terms = data.draw(st.dictionaries(words, coeff, max_size=4))
-        assert _Calculus(Xp).d(terms) == subset_d(terms, Xp)
+        assert d_terms(_Calculus(Xp), terms) == subset_d(terms, Xp)
 
     def test_no_subset_enumeration_in_src(self):
         tree = ast.parse(Path(dga.__file__).read_text())
@@ -372,39 +397,39 @@ class TestDifferential:
         assert "combinations" not in names
 
     def test_linear(self):
-        calc = _Calculus(b_family("b5"))
-        two, i = LambdaScalar(Scalar(2)), LambdaScalar(I)
-        parts = accumulate(
-            pair for w, c in (((0, 1), two), ((1, 1), i))
-            for pair in ((key, q * c) for key, q in calc.d_word(w).items()))
-        assert calc.d({(0, 1): two, (1, 1): i}) == parts
+        """d_word extended linearly, with Gaussian coefficients, is d by
+        its definition."""
+        Xp = b_family("b5")
+        terms = {(0, 1): LambdaScalar(Scalar(2)), (1, 1): LambdaScalar(I)}
+        assert d_terms(_Calculus(Xp), terms) == subset_d(terms, Xp)
 
 
 class TestFirstOrder:
     def test_b2_exact(self):
-        assert _first_order(_Calculus(b_family("b2", Fraction(1)), b_lie()),
-                            3)
+        assert _first_order(_Calculus(b_family("b2", Fraction(1)), b_lie()))
 
     def test_families_exact(self):
         m = b_lie()
         for _, Xp in all_families():
-            assert _first_order(_Calculus(Xp, m), 3)
+            assert _first_order(_Calculus(Xp, m))
 
     def test_classical_calculus(self):
         ab = LieAlgebra(2, ("a", "b"), Tensor((2, 2, 2), {}))
         zp = PreLieProduct(2, ("a", "b"), Tensor((2, 2, 2), {}))
-        assert _first_order(_Calculus(zp, ab), 3)
+        assert _first_order(_Calculus(zp, ab))
 
     def test_broken_prelie_witnessed(self):
         bad = prelie_from_table(("x", "t"), {(0, 0): {1: 1}, (1, 1): {1: 1}})
+        calc = _Calculus(bad, b_lie())
+        assert _first_order(calc) \
+            == Verdict([("bracket", 0, 1), ("bimodule", 0, 1)])
         # (P) holds: the Leibniz pairs that fail, such as t . x, are not
         # of the form x . w' with x w' a PBW word
-        assert _first_order(_Calculus(bad, b_lie()), 3) \
-            == Verdict([("bracket", 0, 1), ("bimodule", 0, 1)])
+        assert p_failures(calc, 3) == []
 
     def test_su2_dual(self):
         dl = su2_dual_lie()
-        assert _first_order(_Calculus(su2_dual_prelie(), dl), 3)
+        assert _first_order(_Calculus(su2_dual_prelie(), dl))
 
     @pytest.mark.parametrize("max_len", [3, 4])
     @pytest.mark.parametrize("m, Xp", [
@@ -415,11 +440,13 @@ class TestFirstOrder:
         (su2_dual_lie(), mutant(su2_dual_prelie(), 1)),
     ], ids=["broken-dim2", "b4-mutant-2", "b4-mutant-4", "su2-mutant-1"])
     def test_witnesses_match_reference(self, m, Xp, max_len):
-        rep = _first_order(_Calculus(Xp, m), max_len)
+        rep = _first_order(_Calculus(Xp, m))
         found = reference_first_order(m, Xp, max_len)["witnesses"]
-        # the sweep sees each mutant
+        # the sweep sees each mutant, but at no (P) pair x . w'
         assert found["leibniz"]
-        assert sorted(rep.witnesses) == sorted(tagged_p_witnesses(found))
+        assert not [(u, v) for u, v in found["leibniz"]
+                    if len(u) == 1 and u[0] <= v[0]]
+        assert sorted(rep.witnesses) == sorted(tagged_witnesses(found))
 
     @pytest.mark.parametrize("dim, max_len", [(1, 1), (2, 3), (2, 5),
                                               (3, 4), (4, 2)])
@@ -432,16 +459,55 @@ class TestFirstOrder:
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_certificate_matches_reference(self, data):
-        """The verdict of (R), (D) and (P) is the reference verdict, on
-        dim-2 products over [x,t]=x and dim-3 products over their
-        commutator or the abelian bracket, left-symmetric or not, at
-        max-len 3 and 4.  In particular a passing certificate proves
-        Leibniz on every pair; the converse fails, see
-        test_bimodule_only_mutant."""
+        """The verdict of (R) and (D) is the reference verdict, which
+        also sweeps Leibniz over every pair of words, on dim-2 products
+        over [x,t]=x and dim-3 products over their commutator, su2* or
+        the abelian bracket, left-symmetric or not, at max-len 3 and 4.
+        In particular a passing certificate proves Leibniz on every pair;
+        the converse fails, see test_bimodule_only_mutant."""
         m, Xp = data.draw(products())
         max_len = data.draw(st.sampled_from([3, 4]))
-        assert bool(_first_order(_Calculus(Xp, m), max_len)) \
+        assert bool(_first_order(_Calculus(Xp, m))) \
             == reference_first_order(m, Xp, max_len)["first_order"]
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_certificate_is_left_symmetry_and_compatibility(self, data):
+        """(R) and (D) both hold exactly when the product is left-symmetric
+        and compatible with the bracket, and (D) alone exactly when it is
+        compatible: (D) reduces to lambda d(x o y - y o x - [x,y]) and
+        (R) to x o (y o z) - y o (x o z) = [x,y] o z."""
+        m, Xp = data.draw(products())
+        rep = _first_order(_Calculus(Xp, m))
+        compatible = bool(check_compatibility(Xp, m))
+        assert bool(rep) == (bool(check_left_symmetry(Xp)) and compatible)
+        assert all(w[0] != "bracket" for w in rep.witnesses) == compatible
+
+    @pytest.mark.parametrize("iid, m, Xp", catalog_products(),
+                             ids=lambda v: v if isinstance(v, str) else "")
+    def test_p_holds_on_catalog_words(self, iid, m, Xp):
+        """(P) on every PBW word up to length 6 (su2*: 5)."""
+        assert p_failures(_Calculus(Xp, m), 6 if Xp.dim == 2 else 5) == []
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), dim=st.integers(1, 3))
+    def test_p_holds_for_any_product_and_bracket(self, data, dim):
+        """(P) needs neither (R) nor (D): it holds for random structure
+        constants with Gaussian-rational entries over a random bracket,
+        not even antisymmetric."""
+        index = st.integers(0, dim - 1)
+        part = st.fractions(-3, 3, max_denominator=4)
+        scalar = st.builds(Scalar, part, part).filter(
+            lambda c: not c.is_zero())
+        names = tuple(f"e{i}" for i in range(dim))
+
+        def tensor():
+            return Tensor((dim,) * 3, data.draw(st.dictionaries(
+                st.tuples(index, index, index), scalar, max_size=2 * dim)))
+
+        Xp = PreLieProduct(dim, names, tensor())
+        m = LieAlgebra(dim, names, tensor())
+        assert p_failures(_Calculus(Xp, m), 7 - dim) == []
 
     @pytest.mark.parametrize("Xp, max_len", [
         (prelie_from_table(("x", "t"), {(0, 0): {1: 1}, (1, 1): {1: 1}}), 2),
@@ -450,26 +516,35 @@ class TestFirstOrder:
     def test_bimodule_only_mutant(self, Xp, max_len):
         """Products that are not left-symmetric, over their own
         commutator bracket: de_x . (xy - yx) != lambda de_x . [x,y].  No
-        Leibniz pair up to max-len sees it (x o x = t o t = t at max-len
-        2; su2* with psi+ o psi- = -2 psi- even at max-len 5); only (R)
+        (P) pair up to max-len sees it (x o x = t o t = t at max-len 2;
+        su2* with psi+ o psi- = -2 psi- even at max-len 5); only (R)
         does."""
-        rep = _first_order(_Calculus(Xp, commutator_bracket(Xp)), max_len)
-        assert rep == Verdict([("bimodule", 0, 1)])
+        calc = _Calculus(Xp, commutator_bracket(Xp))
+        assert _first_order(calc) == Verdict([("bimodule", 0, 1)])
+        assert p_failures(calc, max_len) == []
 
     def test_bracket_only_mutant(self):
         """The zero product over [x,t]=x: the bimodule is the classical
         one and d_word the classical derivative, but d(xt - tx) = 0 !=
         lambda dx."""
         zero = PreLieProduct(2, ("x", "t"), Tensor((2, 2, 2), {}))
-        rep = _first_order(_Calculus(zero, b_lie()), 3)
-        assert rep == Verdict([("bracket", 0, 1)])
+        calc = _Calculus(zero, b_lie())
+        assert _first_order(calc) == Verdict([("bracket", 0, 1)])
+        assert p_failures(calc, 3) == []
 
     def test_closed_formula_only_mutant(self, monkeypatch):
-        """d_word of b4 with one coefficient of the word x x t changed:
-        the relations still hold, and only (P) fails, at x . xt."""
+        """d_word of b4 with the coefficient of x x dt in d(x x t)
+        changed: the relations still hold, so the generator certificate
+        passes, and only the (P) oracle fails, at x . xt.  The changed
+        term lies in the diagonal block, so check_calculus refuses the
+        d table."""
         add_one_to_d_word(monkeypatch, (0, 0, 1), ((0, 0), (1,)))
-        rep = _first_order(_Calculus(b_family("b4"), b_lie()), 3)
-        assert rep == Verdict([("leibniz", (0,), (0, 1))])
+        calc = _Calculus(b_family("b4"), b_lie())
+        assert _first_order(calc) == Verdict()
+        assert p_failures(calc, 3) == [((0,), (0, 1))]
+        with pytest.raises(AssertionError, match="certificate"):
+            check_calculus(b_lie(), b_family("b4"), 3,
+                           Scalar(Fraction(3, 7)))
 
 
 def d_forms(calc, terms):
@@ -497,7 +572,7 @@ class TestExteriorD:
         cases.append((su2_dual_lie(), su2_dual_prelie()))
         for m, Xp in cases:
             calc = _Calculus(Xp, m)
-            for w in _pbw_words(m.dim, 4, min_len=1):
+            for w in _pbw_words(m.dim, 4):
                 assert d_forms(calc, calc.d_word(w)) == {}
 
     def test_super_derivation(self):
@@ -683,16 +758,16 @@ class TestSharedTable:
             job_words = set(misses)
 
             misses.clear()
-            first = _first_order(_Calculus(X, m), max_len)
+            first = _first_order(_Calculus(X, m))
+            # the generator certificate differentiates no word
+            assert not misses
             assert _connected(_Calculus(X, m), _pbw_words(m.dim, max_len),
                               lam)
             assert report == {"first_order": bool(first),
                               "kernel_dimension": 1, "connected": True}
             assert code == (0 if first else 1)
-            # the two certificates build a table each, and both need
-            # most words
             assert set(misses) == job_words
-            assert max(misses.values()) == 2
+            assert set(misses.values()) == {1}
 
             misses.clear()
             assert check_calculus(m, X, max_len, lam) == {
@@ -708,35 +783,46 @@ class TestSharedTable:
         lam = Scalar(Fraction(5, 2))
         rep = check_calculus(m, X, 4, lam)
         assert not rep["first_order"]
-        assert rep == {"first_order": _first_order(_Calculus(X, m), 4),
+        assert rep == {"first_order": _first_order(_Calculus(X, m)),
                        "kernel_dimension": 1, "connected": True}
         assert _connected(_Calculus(X, m), _pbw_words(X.dim, 4), lam)
 
 
 class TestWorkCount:
-    """A check costs O(words), passing or failing: no Leibniz sweep over
-    pairs, and dga has no elimination to run."""
+    """A check costs O(n^2) products for the first order and one d per
+    PBW word for connectedness, passing or failing: no sweep over words
+    or pairs of words, and dga has no elimination to run."""
 
     def test_passing_run_sweeps_and_eliminates_nothing(self, monkeypatch,
                                                        capsys):
-        pairs = counted(monkeypatch, "_leibniz_holds")
+        bracket = counted(monkeypatch, "_bracket_holds")
+        bimodule = counted(monkeypatch, "_bimodule_holds")
+        misses = d_word_misses(monkeypatch)
         code = cli.main(["calculus", "--instance", "b4", "--max-len", "5",
                          "--json"])
         assert code == 0
         assert json.loads(capsys.readouterr().out) == {"b4": {
             "connected": True, "first_order": True, "kernel_dimension": 1}}
-        assert "linear_kernel" not in Path(dga.__file__).read_text()
-        # (P): one pair x . w' per PBW word x w' of length 2 to 5
-        assert len(pairs) == 3 + 4 + 5 + 6 < leibniz_pairs(2, 5)
+        src = Path(dga.__file__).read_text()
+        assert "linear_kernel" not in src and "_leibniz_holds" not in src
+        # (R) and (D) once on the one generator pair x < t, and d once on
+        # each of the 21 PBW words up to length 5, for connectedness
+        assert [args[1:] for args in bracket] \
+            == [args[1:] for args in bimodule] == [(0, 1)]
+        assert misses == Counter(_pbw_words(2, 5))
+        assert sum(misses.values()) == 21 < leibniz_pairs(2, 5)
 
-    def test_failing_run_checks_each_p_pair_once(self, monkeypatch):
-        """A failing run costs what a passing one does, and its leibniz
-        witnesses are the (P) pairs that fail."""
-        add_one_to_d_word(monkeypatch, (0, 0, 1), ((0, 0), (1,)))
-        pairs = counted(monkeypatch, "_leibniz_holds")
-        rep = _first_order(_Calculus(b_family("b4"), b_lie()), 5)
-        leibniz = [w[1:] for w in rep.witnesses if w[0] == "leibniz"]
-        assert not rep and leibniz
-        assert [args[1:] for args in pairs] \
-            == [(w[:1], w[1:]) for w in _pbw_words(2, 5, min_len=2)]
-        assert set(leibniz) < {args[1:] for args in pairs}
+    def test_failing_run_checks_each_generator_pair_once(self):
+        """A failing run costs what a passing one does: (R) and (D) once
+        on each generator pair x < y, whatever the max-len, and its
+        witnesses are pairs that fail."""
+        pairs = [(0, 1), (0, 2), (1, 2)]
+        for max_len in (2, 5):
+            with pytest.MonkeyPatch.context() as mp:
+                bracket = counted(mp, "_bracket_holds")
+                bimodule = counted(mp, "_bimodule_holds")
+                rep = check_calculus(su2_dual_lie(), su2_dual_mutant(),
+                                     max_len, ONE)["first_order"]
+            assert [args[1:] for args in bracket] \
+                == [args[1:] for args in bimodule] == pairs
+            assert not rep and {w[1:] for w in rep.witnesses} <= set(pairs)
