@@ -28,7 +28,8 @@ from .constructions import (
 )
 from .dga import check_calculus
 from .exact_core import Scalar, Tensor, Verdict, ratfunc_equal
-from .group_dga import GroupDGA, GroupDGAData, check_group_dga
+from .group_dga import GroupDGA, GroupDGAData, _d_squared_size, \
+    check_group_dga
 from .liebialg import (
     LieAlgebra,
     LieBialgebra,
@@ -76,9 +77,23 @@ MAX_WORD_LEN = 30
 # `groupdga`, and `check` on a group_dga instance, apply d twice to each
 # monomial alpha^A g of a group of order s on n points with |A| up to
 # min(--max-len, this): about s * C(n + L, L) of them, so without a cap
-# the run grows with --max-len (groupdga-s3 takes 21 ms at L = 3 and
-# 123 ms at L = 7 on a 2-vCPU machine under Python 3.11)
+# the run grows with --max-len (groupdga-s3 takes 2.5 ms at L = 3 and
+# 67 ms at L = 7 on a 2-vCPU machine under Python 3.11)
 GROUP_DGA_MAX_LEN = 3
+# and refuse an instance whose d^2 certificate would write more alpha
+# exponents than this (group_dga._d_squared_size).  d of alpha^A g has a
+# term for each point that g moves theta off, and every term is keyed by
+# n exponents, so the monomial count alone bounds neither a dense theta
+# nor many points (Z_2 swapping 400 points with a dense theta has 402
+# monomials at --max-len 1 and takes 2.3 s).  The slowest admitted run
+# measured, Z_29 rotating 29 points with a dense theta at --max-len 1
+# (734k exponents), takes about 0.5 s in process on a 2-vCPU machine under
+# Python 3.11, most of it the rank of omega; Z_2 swapping 14 points with
+# a dense theta at --max-len 3 (618k) takes 0.25 s.  The bound does not
+# reach the associativity scan of group_dga._validate, which runs when
+# the instance is read, before any bound: it is O(s^3) in the group
+# order s, 0.77 s for Z_200 on one point
+MAX_D_SQUARED_EXPONENTS = 750_000
 
 
 class SchemaError(Exception):
@@ -392,6 +407,19 @@ def _calculus_bound(entries, args):
             f"words longer than the limit of {MAX_WORD_LEN}")
 
 
+def _group_dga_bound(entries, args):
+    max_len = min(args.max_len, GROUP_DGA_MAX_LEN)
+    for entry in entries:
+        if entry["kind"] != "group_dga":
+            continue
+        monomials, exponents = _d_squared_size(entry["build"](), max_len)
+        if exponents > MAX_D_SQUARED_EXPONENTS:
+            raise UsageError(
+                f"{entry['id']}: d^2 at max-len {max_len} would write "
+                f"{exponents} alpha exponents on {monomials} monomials, "
+                f"over the limit of {MAX_D_SQUARED_EXPONENTS}")
+
+
 def _groupdga_report(entry, args):
     rep = check_group_dga(entry["build"](),
                           max_len=min(args.max_len, GROUP_DGA_MAX_LEN))
@@ -467,7 +495,8 @@ _METRIC_FLAGS = (*_INSTANCE_FLAGS, "--case", "--alpha", "--beta",
 COMMANDS = {
     "check": Command((*_INSTANCE_FLAGS, "--max-len"), None,
                      lambda entry, args: _check_instance(entry,
-                                                         args.max_len)),
+                                                         args.max_len),
+                     bound=_group_dga_bound),
     "construct": Command(_INSTANCE_FLAGS,
                          ("prelie", "cotangent_input", "rmatrix",
                           "bialgebra"), _construct_report),
@@ -475,7 +504,7 @@ COMMANDS = {
                         ("prelie",), _calculus_report,
                         bound=_calculus_bound),
     "groupdga": Command((*_INSTANCE_FLAGS, "--max-len"), ("group_dga",),
-                        _groupdga_report),
+                        _groupdga_report, bound=_group_dga_bound),
     "metric": Command(_METRIC_FLAGS, ("metric",),
                       lambda entry, args: check_metric(entry["build"]()),
                       _metric_entries),

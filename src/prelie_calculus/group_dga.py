@@ -16,6 +16,11 @@ element, then a Grassmann monomial; the rewrite rules are
     form . g      = g . (g^{-1} |> form)
 
 and d(g) = g (g^{-1}|>theta - theta), d(alpha_i) = y_i.
+
+On valid data graded Leibniz, [alpha_i, d alpha_j] = delta_ij d alpha_j
+and the omega-tilde module identities follow from these rules (README,
+"Group-DGA identities are theorems of the rewrite rules"), so
+check_group_dga decides a DGA from d^2 = 0 alone.
 """
 
 from __future__ import annotations
@@ -119,9 +124,6 @@ class GroupDGA:
             for p in data.action)
 
     # -- element helpers -------------------------------------------------
-    def unit(self):
-        return {((0,) * self.n, self.identity, ()): ONE}
-
     def alpha(self, i):
         exps = [0] * self.n
         exps[i] = 1
@@ -135,9 +137,6 @@ class GroupDGA:
 
     def add(self, a, b):
         return accumulate(chain(a.items(), b.items()))
-
-    def scale(self, a, s):
-        return accumulate((k, v * s) for k, v in a.items())
 
     def sub(self, a, b):
         return accumulate(chain(a.items(), ((k, -v) for k, v in b.items())))
@@ -222,65 +221,6 @@ class GroupDGA:
                 sign, forms = wedge
                 yield (A2, g, forms), c * coeff * sign
 
-    # -- the omega-tilde module map --------------------------------------
-    def omega_tilde(self, a):
-        """omega-tilde on the augmentation ideal, valued in V* (+) V.
-
-        Returns (psi, v): psi the y-components, v the x-components.
-        Monomials alpha^A g with A supported on one index i map to
-        (-1)^(|A|-1) alpha_{g^{-1}|>i}; pure group terms g map to
-        g^{-1}|>theta - theta; mixed-support monomials map to zero.
-        """
-        psi = [ZERO] * self.n
-        vec = [ZERO] * self.n
-        for (A, g, eta), c in a.items():
-            if eta:
-                raise ValueError("omega-tilde is defined on degree-0 terms")
-            support = [i for i, e in enumerate(A) if e > 0]
-            if not support:
-                if g == self.identity:
-                    continue  # the unit is projected out
-                for k, t in enumerate(self._theta_forms[g]):
-                    vec[k] = vec[k] + c * t
-            elif len(support) == 1:
-                i = support[0]
-                sign = Scalar((-1) ** (A[i] - 1))
-                j = self.data.action[self.inv[g]][i]
-                psi[j] = psi[j] + c * sign
-            # products of distinct alphas *-multiply to zero
-        return psi, vec
-
-    def crossed_action(self, pair, key):
-        """Right action of a monomial alpha^A g on V* (+) V from the
-        cotangent crossed module: (psi+v) <| g = g^{-1}|>(psi+v) and
-        (psi+v) <| (alpha_i g) = -g^{-1}|>(alpha_i * psi); higher alpha
-        degree acts by iterated *, and * is idempotent per point."""
-        psi, vec = pair
-        A, g, eta = key
-        if eta:
-            raise ValueError("only degree-0 monomials act")
-        gi = self.inv[g]
-        support = [i for i, e in enumerate(A) if e > 0]
-        if not support:
-            npsi = [ZERO] * self.n
-            nvec = [ZERO] * self.n
-            for j in range(self.n):
-                npsi[self.data.action[gi][j]] = psi[j]
-                nvec[self.data.action[gi][j]] = vec[j]
-            return npsi, nvec
-        # alpha_{i1}*...*alpha_{ik}*psi kills v and all but the common point
-        npsi = [ZERO] * self.n
-        if len(support) == 1:
-            i = support[0]
-            sign = Scalar((-1) ** sum(A))
-            npsi[self.data.action[gi][i]] = sign * psi[i]
-        return npsi, [ZERO] * self.n
-
-
-def _pair_is_zero(pair):
-    return all(v.is_zero() for v in pair[0]) \
-        and all(v.is_zero() for v in pair[1])
-
 
 def _monomials(dga, max_len):
     """(A, g) for each monomial alpha^A g with |A| + [g != e] <= max_len:
@@ -292,108 +232,49 @@ def _monomials(dga, max_len):
                 yield tuple(map(picks.count, range(dga.n))), g
 
 
-def check_group_dga(dga: GroupDGA, max_len=3):
-    """Consistency report for a built group DGA.
+def _d_squared_size(dga, max_len):
+    """(monomials, exponents) for the d^2 certificate at max_len,
+    without running it: the number of monomials _monomials yields, and
+    a bound on the alpha exponents that d^2 writes on them.  d(alpha^A g)
+    has |A| alpha terms and one term per x_k in g^{-1}|>theta - theta,
+    t_g of them, and neither count grows under a second d, so d^2 of
+    the monomial expands at most (1 + |A| + t_g)^2 terms, counting the
+    monomial itself, each keyed by n exponents."""
+    monomials = terms = 0
+    for g, forms in enumerate(dga._theta_forms):
+        moved = sum(not t.is_zero() for t in forms)
+        count = 1  # of the alpha^A with |A| = total: C(n + total - 1, total)
+        for total in range(max_len - (g != dga.identity) + 1):
+            monomials += count
+            terms += count * (1 + total + moved) ** 2
+            count = count * (dga.n + total) // (total + 1)
+    return monomials, terms * dga.n
 
-    Verifies d^2 = 0 on every product of at most max_len alphas and
-    group elements, graded Leibniz on generator pairs (alphas, group
-    elements and form generators), the commutation rule
-    [alpha_i, d alpha_j] = delta_ij d alpha_i as a rewrite consequence,
-    the omega-tilde right-module property on generator pairs (including
-    well-definedness of g.alpha_j), and surjectivity of omega on the
-    group elements (warning only).
+
+def check_group_dga(dga: GroupDGA, max_len=3):
+    """Consistency report for a built group DGA: d^2 = 0 on every
+    product of at most max_len alphas and group elements, and
+    surjectivity of omega on the group elements (warning only).
 
     With no forms to move, such a product is always one monomial
     alpha^A g with coefficient 1, and d is linear, so d^2 is applied
-    once to each distinct monomial (_monomials).
+    once to each distinct monomial (_monomials).  The identities that
+    follow from the rewrite rules on every valid group DGA (module
+    docstring) are not checked here; tests/test_group_dga.py keeps
+    their generator-pair sweeps as an oracle.
 
-    Returns {"passed": Verdict, "warnings": [str]}; each witness leads
-    with its list: ("d_squared", A, g) for a failing monomial,
-    ("leibniz", a, b), ("alpha_form", i, j), ("omega_module", a, b) and
-    ("omega_welldef", g, j).
+    Returns {"passed": Verdict, "warnings": [str]}; the witnesses are
+    ("d_squared", A, g), one per failing monomial.
     """
-    witnesses, warnings = [], []
-
-    gens0 = [("alpha", i) for i in range(dga.n)] \
-        + [("group", g) for g in range(dga.size)]
-
-    def build(label):
-        kind, idx = label
-        if kind == "alpha":
-            return dga.alpha(idx)
-        if kind == "group":
-            return dga.group(idx)
-        return dga.form(idx)
-
-    for A, g in _monomials(dga, max_len):
-        if not dga.is_zero(dga.d(dga.d({(A, g, ()): ONE}))):
-            witnesses.append(("d_squared", A, g))
-
-    # graded Leibniz on pairs of generators including forms
-    gens = gens0 + [("form", f) for f in range(2 * dga.n)]
-    for la in gens:
-        for lb in gens:
-            a, b = build(la), build(lb)
-            grade_a = 1 if la[0] == "form" else 0
-            lhs = dga.d(dga.mul(a, b))
-            sign = Scalar(-1 if grade_a % 2 else 1)
-            rhs = dga.add(dga.mul(dga.d(a), b),
-                          dga.scale(dga.mul(a, dga.d(b)), sign))
-            if not dga.is_zero(dga.sub(lhs, rhs)):
-                witnesses.append(("leibniz", la, lb))
-
-    # [alpha_i, d alpha_j] = delta_ij d alpha_j
-    for i in range(dga.n):
-        for j in range(dga.n):
-            ai, yj = dga.alpha(i), dga.form(j)
-            comm = dga.sub(dga.mul(ai, yj), dga.mul(yj, ai))
-            expected = dga.form(j) if i == j else {}
-            if not dga.is_zero(dga.sub(comm, expected)):
-                witnesses.append(("alpha_form", i, j))
-
-    # omega-tilde is a right module map on generator pairs:
-    # omega(pi(u) v) = omega(pi(u)) <| v  for monomial generators u, v
-    eps = dga.unit()
-    for la in gens0:
-        for lb in gens0:
-            u, v = build(la), build(lb)
-            # pi(u) = u - eps(u) 1; eps kills alphas and sends every
-            # group element to 1
-            eps_u = sum((c for (A, g, eta), c in u.items()
-                         if not any(A) and not eta), ZERO)
-            pu = dga.sub(u, dga.scale(eps, eps_u))
-            lhs = dga.omega_tilde(dga.mul(pu, v))
-            (vkey, vc), = v.items()
-            base = dga.omega_tilde(pu)
-            acted = dga.crossed_action(base, vkey)
-            acted = ([c * vc for c in acted[0]], [c * vc for c in acted[1]])
-            diff = ([x - y for x, y in zip(lhs[0], acted[0])],
-                    [x - y for x, y in zip(lhs[1], acted[1])])
-            # pi of the product also picks up omega(pi(v)) eps-terms:
-            # pi(pu v) = pu v - eps(pu v); eps(pu) = 0 so eps(pu v) = 0
-            if not _pair_is_zero(diff):
-                witnesses.append(("omega_module", la, lb))
-
-    # well-definedness: omega(g alpha_j) computed through the rewrite
-    # g alpha_j = alpha_{g|>j} g must equal omega(alpha_j) = y_j
-    for g in range(dga.size):
-        for j in range(dga.n):
-            prod = dga.mul(dga.group(g), dga.alpha(j))
-            psi, vec = dga.omega_tilde(prod)
-            # subtract the eps-part: omega(g alpha_j) includes the
-            # group-only term from expanding alpha_{g|>j} g; project
-            # first: pi(g alpha_j) = g alpha_j (eps = 0 already)
-            expect = [ZERO] * dga.n
-            expect[j] = ONE
-            if psi != expect or any(not c.is_zero() for c in vec):
-                witnesses.append(("omega_welldef", g, j))
+    witnesses = [("d_squared", A, g) for A, g in _monomials(dga, max_len)
+                 if not dga.is_zero(dga.d(dga.d({(A, g, ()): ONE})))]
 
     # surjectivity of omega on group elements.  The differences
     # g^{-1}|>theta - theta always lie in the sum-zero hyperplane of
     # kX, so the best possible rank for a point action is n - 1; warn
     # when the orbit of theta spans less than that.
-    rows = dga._theta_forms
-    rank = dga.n - len(linear_kernel(rows))
+    warnings = []
+    rank = dga.n - len(linear_kernel(dga._theta_forms))
     if rank < dga.n - 1:
         warnings.append(
             f"omega is not surjective: rank {rank} < {dga.n - 1}")

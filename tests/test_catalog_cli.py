@@ -377,6 +377,45 @@ class TestCommandPath:
                        "would differentiate words longer than the limit of "
                        f"{cli.MAX_WORD_LEN}\n")
 
+    @pytest.mark.parametrize("command", ["groupdga", "check"])
+    def test_too_large_group_dga_is_refused_before_any_check(
+            self, capsys, tmp_path, monkeypatch, command):
+        """Z_2 swapping 16 points, with theta moved off every point:
+        --max-len 5 is capped at 3, where d^2 would write 1102624
+        exponents on 1122 monomials."""
+        def no_work(*args, **kwargs):
+            raise AssertionError("a check ran before the work was bounded")
+        monkeypatch.setattr(cli, "check_group_dga", no_work)
+        path = _write(tmp_path, {"id": "swap16", "kind": "group_dga",
+                                 "payload": {
+            "cayley": [[0, 1], [1, 0]],
+            "action": [list(range(16)), [i ^ 1 for i in range(16)]],
+            "theta": list(range(1, 17))}})
+        others = ["--instance", "b4"] if command == "check" else []
+        code, out, err = run(capsys, command, "--instance-file", path,
+                             *others, "--max-len", "5")
+        assert (code, out) == (2, "")
+        assert err == ("error: swap16: d^2 at max-len 3 would write "
+                       "1102624 alpha exponents on 1122 monomials, over "
+                       f"the limit of {cli.MAX_D_SQUARED_EXPONENTS}\n")
+
+    @pytest.mark.parametrize("points, theta", [
+        (14, list(range(1, 15))),   # 617624 exponents at max-len 3
+        (0, []),                    # no points: the group elements alone
+    ], ids=["swap14", "no-points"])
+    def test_group_dga_under_the_bound_is_admitted(self, capsys, tmp_path,
+                                                   points, theta):
+        path = _write(tmp_path, {"id": "g", "kind": "group_dga",
+                                 "payload": {
+            "cayley": [[0, 1], [1, 0]],
+            "action": [list(range(points)),
+                       [i ^ 1 for i in range(points)]],
+            "theta": theta}})
+        code, out, err = run(capsys, "groupdga", "--instance-file", path,
+                             "--json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["g"]["passed"] is True
+
     def test_longest_dim1_run_is_admitted(self, capsys, tmp_path):
         path = _write(tmp_path, {"id": "line", "kind": "prelie", "payload": {
             "dim": 1, "xi": [[0, 0, 0, 1, 1, 0, 1]]}})
@@ -755,7 +794,9 @@ CAN_FAIL = {
 CATALOG_ONLY = "no instance file carries this kind; every catalog entry passes"
 CENTRAL = "a metric input is the u,v presentation, and u and v are central"
 WEDGE = "the u,v presentation has a symmetric c-matrix, so dx^dt cancels"
-GROUP_DGA = "follows from the rewrite rules on every valid group DGA"
+GROUP_DGA = "d^2 = 0 follows from the rewrite rules on every valid group " \
+    "DGA (README theorem: group-DGA identities are theorems of the " \
+    "rewrite rules)"
 CANNOT_FAIL = {
     ("check", "bicovariance"): "a dim-2 file is checked over an abelian "
         "carrier: delta_{g*} = 0, so both sides of (Xi-bi) vanish "

@@ -1,14 +1,20 @@
 import inspect
+import random
+import sys
 import textwrap
 from collections import Counter
+from fractions import Fraction
+from itertools import product as iproduct
+from math import comb
 
 import pytest
 
-from prelie_calculus import cli, group_dga
+from prelie_calculus import cli
 from prelie_calculus.exact_core import ONE, Scalar, ZERO
 from prelie_calculus.group_dga import (
     GroupDGA,
     GroupDGAData,
+    _d_squared_size,
     _monomials,
     check_group_dga,
     s3_instance,
@@ -20,6 +26,164 @@ def trivial_instance() -> GroupDGA:
     """Trivial group on one point with theta = x_1."""
     return GroupDGA(GroupDGAData(
         cayley=((0,),), action=((0,),), theta=(ONE,)))
+
+
+# -- the generator-pair oracle: the four lists that check_group_dga no
+# longer sweeps, since README proves them from the rewrite rules
+
+def omega_tilde(dga, a):
+    """omega-tilde on the augmentation ideal, valued in V* (+) V.
+
+    Returns (psi, v): psi the y-components, v the x-components.
+    Monomials alpha^A g with A supported on one index i map to
+    (-1)^(|A|-1) alpha_{g^{-1}|>i}; pure group terms g map to
+    g^{-1}|>theta - theta; mixed-support monomials map to zero.
+    """
+    psi = [ZERO] * dga.n
+    vec = [ZERO] * dga.n
+    for (A, g, eta), c in a.items():
+        assert not eta, "omega-tilde is defined on degree-0 terms"
+        support = [i for i, e in enumerate(A) if e > 0]
+        if not support:
+            if g == dga.identity:
+                continue  # the unit is projected out
+            for k, t in enumerate(dga._theta_forms[g]):
+                vec[k] = vec[k] + c * t
+        elif len(support) == 1:
+            i = support[0]
+            sign = Scalar((-1) ** (A[i] - 1))
+            j = dga.data.action[dga.inv[g]][i]
+            psi[j] = psi[j] + c * sign
+        # products of distinct alphas *-multiply to zero
+    return psi, vec
+
+
+def crossed_action(dga, pair, key):
+    """Right action of a monomial alpha^A g on V* (+) V from the
+    cotangent crossed module: (psi+v) <| g = g^{-1}|>(psi+v) and
+    (psi+v) <| (alpha_i g) = -g^{-1}|>(alpha_i * psi); higher alpha
+    degree acts by iterated *, and * is idempotent per point."""
+    psi, vec = pair
+    A, g, eta = key
+    assert not eta, "only degree-0 monomials act"
+    moved = dga.data.action[dga.inv[g]]
+    npsi = [ZERO] * dga.n
+    nvec = [ZERO] * dga.n
+    support = [i for i, e in enumerate(A) if e > 0]
+    if not support:
+        for j in range(dga.n):
+            npsi[moved[j]] = psi[j]
+            nvec[moved[j]] = vec[j]
+    # alpha_{i1}*...*alpha_{ik}*psi kills v and all but the common point
+    elif len(support) == 1:
+        i = support[0]
+        npsi[moved[i]] = Scalar((-1) ** sum(A)) * psi[i]
+    return npsi, nvec
+
+
+def reference_generator_sweeps(dga):
+    """Tagged witnesses of graded Leibniz on pairs of generators, forms
+    included ("leibniz", a, b); [alpha_i, d alpha_j] = delta_ij d alpha_j
+    ("alpha_form", i, j); the omega-tilde right-module property
+    omega(pi(u) v) = omega(pi(u)) <| v on pairs of alphas and group
+    elements ("omega_module", u, v); and omega(g alpha_j) = y_j through
+    the rewrite g alpha_j = alpha_{g|>j} g ("omega_welldef", g, j)."""
+    witnesses = []
+    build = {"alpha": dga.alpha, "group": dga.group, "form": dga.form}
+    gens0 = [("alpha", i) for i in range(dga.n)] \
+        + [("group", g) for g in range(dga.size)]
+    gens = gens0 + [("form", f) for f in range(2 * dga.n)]
+    for la, lb in iproduct(gens, repeat=2):
+        a, b = build[la[0]](la[1]), build[lb[0]](lb[1])
+        da_b, a_db = dga.mul(dga.d(a), b), dga.mul(a, dga.d(b))
+        rhs = dga.sub(da_b, a_db) if la[0] == "form" \
+            else dga.add(da_b, a_db)
+        if not dga.is_zero(dga.sub(dga.d(dga.mul(a, b)), rhs)):
+            witnesses.append(("leibniz", la, lb))
+
+    for i, j in iproduct(range(dga.n), repeat=2):
+        ai, yj = dga.alpha(i), dga.form(j)
+        comm = dga.sub(dga.mul(ai, yj), dga.mul(yj, ai))
+        if not dga.is_zero(dga.sub(comm, yj if i == j else {})):
+            witnesses.append(("alpha_form", i, j))
+
+    # pi(u) = u - eps(u) 1: eps kills alphas and sends every group
+    # element to 1, and eps(pi(u) v) = 0
+    for la, lb in iproduct(gens0, repeat=2):
+        u, v = build[la[0]](la[1]), build[lb[0]](lb[1])
+        pu = dga.sub(u, dga.group(dga.identity)) if la[0] == "group" \
+            else u
+        (vkey,) = v
+        if omega_tilde(dga, dga.mul(pu, v)) != \
+                crossed_action(dga, omega_tilde(dga, pu), vkey):
+            witnesses.append(("omega_module", la, lb))
+
+    for g, j in iproduct(range(dga.size), range(dga.n)):
+        y_j = [ZERO] * dga.n
+        y_j[j] = ONE
+        if omega_tilde(dga, dga.mul(dga.group(g), dga.alpha(j))) \
+                != (y_j, [ZERO] * dga.n):
+            witnesses.append(("omega_welldef", g, j))
+    return witnesses
+
+
+def permutation_group_dga(generators, theta):
+    """The group that the permutations generate, acting on their
+    points, with its Cayley table read off composition."""
+    n = len(generators[0])
+    perms = [tuple(range(n))]
+    for p in perms:
+        for q in generators:
+            pq = tuple(p[q[i]] for i in range(n))
+            if pq not in perms:
+                perms.append(pq)
+    lookup = {p: i for i, p in enumerate(perms)}
+    cayley = tuple(tuple(lookup[tuple(p[q[i]] for i in range(n))]
+                         for q in perms) for p in perms)
+    return GroupDGA(GroupDGAData(cayley=cayley, action=tuple(perms),
+                                 theta=theta))
+
+
+# generators of each permutation group the oracle is run on
+FAMILIES = {
+    "z2-on-2": [(1, 0)],
+    "z2-on-4": [(1, 0, 3, 2)],
+    "z3": [(1, 2, 0)],
+    "z4": [(1, 2, 3, 0)],
+    "s3": [(1, 2, 0), (0, 2, 1)],
+    "z2xz2": [(1, 0, 3, 2), (2, 3, 0, 1)],
+    "z2-fixing-one": [(1, 0, 2)],
+    "trivial-on-2": [(0, 1)],
+}
+
+
+def seeded_family(name, seed):
+    """The group of FAMILIES[name] with a seeded Gaussian-rational
+    theta."""
+    rng = random.Random(seed)
+    generators = FAMILIES[name]
+
+    def part():
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+
+    return permutation_group_dga(generators, tuple(
+        Scalar(part(), part()) for _ in generators[0]))
+
+
+class TestOracle:
+    """The four generator-pair lists are theorems of the rewrite rules
+    (README): the oracle finds no witness on any valid instance."""
+
+    @pytest.mark.parametrize("name", ["trivial", "z2", "s3"])
+    def test_catalog_instances(self, name):
+        assert reference_generator_sweeps(INSTANCES[name]()) == []
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("name", FAMILIES)
+    def test_seeded_families(self, name, seed):
+        dga = seeded_family(name, seed)
+        assert reference_generator_sweeps(dga) == []
+        assert check_group_dga(dga, max_len=2)["passed"]
 
 
 class TestValidation:
@@ -141,8 +305,8 @@ class TestS3:
             direct[dga.data.action[gi][0]] = direct[dga.data.action[gi][0]] \
                 + ONE
             direct[0] = direct[0] - ONE
-            _, vec = dga.omega_tilde(
-                dga.sub(dga.group(g), dga.group(dga.identity)))
+            _, vec = omega_tilde(
+                dga, dga.sub(dga.group(g), dga.group(dga.identity)))
             assert vec == direct
 
     def test_omega_tilde_on_alpha_powers(self):
@@ -150,12 +314,12 @@ class TestS3:
         dga = s3_instance()
         g = 1
         elem = {((0, 2, 0), g, ()): ONE}
-        psi, vec = dga.omega_tilde(elem)
+        psi, vec = omega_tilde(dga, elem)
         j = dga.data.action[dga.inv[g]][1]
         assert psi[j] == Scalar(-1)
         assert all(v.is_zero() for v in vec)
         # mixed support products *-multiply to zero
-        psi2, _ = dga.omega_tilde({((1, 1, 0), g, ()): ONE})
+        psi2, _ = omega_tilde(dga, {((1, 1, 0), g, ()): ONE})
         assert all(v.is_zero() for v in psi2)
 
     def test_check_passes(self):
@@ -219,27 +383,41 @@ def reference_d_squared(dga, max_len):
             if not dga.is_zero(dga.d(dga.d(elem)))]
 
 
-def mutate(monkeypatch, method, old, new):
-    """Replace GroupDGA.<method> by its source with old, which must
-    occur once, replaced by new."""
-    source = textwrap.dedent(inspect.getsource(getattr(GroupDGA, method)))
+def mutate(monkeypatch, owner, name, old, new):
+    """Replace owner.<name>, a GroupDGA method or an oracle function of
+    this module, by its source with old, which must occur once, replaced
+    by new."""
+    function = getattr(owner, name)
+    source = textwrap.dedent(inspect.getsource(function))
     assert source.count(old) == 1
     namespace = {}
-    exec(source.replace(old, new), vars(group_dga), namespace)
-    monkeypatch.setattr(GroupDGA, method, namespace[method])
+    exec(source.replace(old, new), function.__globals__, namespace)
+    monkeypatch.setattr(owner, name, namespace[name])
 
 
+ORACLE = sys.modules[__name__]
 # one mutant per witness list, with the s3 witness counts at max-len 3
+# of the library's d^2 certificate and of the oracle.  No CLI path calls
+# mul, so only the oracle sees a mutant of _mul_pieces; omega_tilde and
+# crossed_action are the oracle's own, and their mutants show that its
+# omega lists can fail
 MUTANTS = {
-    "d_sign": (("_d_pieces", "c * coeff * sign", "c * coeff"),
-               {"d_squared": 53, "leibniz": 42}),
-    "binomial_sign": (("_mul_pieces", "(-1) ** m", "(-1) ** (m + 1)"),
-                      {"alpha_form": 3, "leibniz": 3}),
-    "omega_sign": (("omega_tilde", "(-1) ** (A[i] - 1)", "(-1) ** A[i]"),
-                   {"omega_welldef": 18}),
-    "action_sign": (("crossed_action", "(-1) ** sum(A)",
+    "d_sign": ((GroupDGA, "_d_pieces", "c * coeff * sign", "c * coeff"),
+               {"d_squared": 53}, {"leibniz": 42}),
+    "binomial_sign": ((GroupDGA, "_mul_pieces", "(-1) ** m",
+                       "(-1) ** (m + 1)"),
+                      {}, {"alpha_form": 3, "leibniz": 3}),
+    # g . alpha_j = alpha_j . g
+    "untwisted_action": ((GroupDGA, "_mul_pieces",
+                          "Bm[self.data.action[g][j]] = e", "Bm[j] = e"),
+                         {}, {"leibniz": 12, "omega_module": 12,
+                              "omega_welldef": 12}),
+    "omega_sign": ((ORACLE, "omega_tilde", "(-1) ** (A[i] - 1)",
+                    "(-1) ** A[i]"),
+                   {}, {"omega_welldef": 18}),
+    "action_sign": ((ORACLE, "crossed_action", "(-1) ** sum(A)",
                      "(-1) ** (sum(A) + 1)"),
-                    {"omega_module": 3}),
+                    {}, {"omega_module": 3}),
 }
 INSTANCES = {"trivial": trivial_instance, "z2": z2_instance,
              "s3": s3_instance}
@@ -264,19 +442,39 @@ class TestDSquaredCertificate:
         assert count == products and seen == keys
 
     def test_d_runs_once_per_monomial(self, monkeypatch):
-        calls = []
-        true_d = GroupDGA.d
+        calls = Counter()
+        for method in ("d", "mul"):
+            def counted(dga, *args, method=method,
+                        true=getattr(GroupDGA, method)):
+                calls[method] += 1
+                return true(dga, *args)
 
-        def d(dga, a):
-            calls.append(a)
-            return true_d(dga, a)
+            monkeypatch.setattr(GroupDGA, method, counted)
+        check_group_dga(s3_instance(), max_len=3)
+        # d twice per monomial, and no product
+        assert (calls["d"], calls["mul"]) == (2 * 70, 0)
 
-        monkeypatch.setattr(GroupDGA, "d", d)
-        dga = s3_instance()
-        check_group_dga(dga, max_len=3)
-        # d twice per monomial, three times per Leibniz generator pair
-        generators = dga.n + dga.size + 2 * dga.n
-        assert len(calls) == 2 * 70 + 3 * generators ** 2
+    @pytest.mark.parametrize("max_len", [1, 2, 3])
+    @pytest.mark.parametrize("name", FAMILIES)
+    def test_size_bounds_the_certificate(self, monkeypatch, name, max_len):
+        """_d_squared_size, which the CLI bounds before a run, counts the
+        monomials exactly and bounds the terms d^2 expands on them."""
+        pieces = []
+        true_pieces = GroupDGA._d_pieces
+
+        def counted(dga, a):
+            for piece in true_pieces(dga, a):
+                pieces.append(piece)
+                yield piece
+
+        monkeypatch.setattr(GroupDGA, "_d_pieces", counted)
+        dga = seeded_family(name, 0)
+        check_group_dga(dga, max_len=max_len)
+        monomials, exponents = _d_squared_size(dga, max_len)
+        n, s, L = dga.n, dga.size, max_len
+        assert monomials == len(list(_monomials(dga, L))) \
+            == comb(n + L, L) + (s - 1) * comb(n + L - 1, L - 1)
+        assert (monomials + len(pieces)) * n <= exponents
 
     @pytest.mark.parametrize("mutant", [None, *MUTANTS])
     @pytest.mark.parametrize("max_len", [1, 2, 3])
@@ -300,11 +498,13 @@ class TestDSquaredCertificate:
 class TestMutants:
     @pytest.mark.parametrize("mutant", MUTANTS)
     def test_mutant_fills_its_witness_lists(self, monkeypatch, mutant):
-        change, expected = MUTANTS[mutant]
+        change, library, oracle = MUTANTS[mutant]
         mutate(monkeypatch, *change)
-        rep = check_group_dga(s3_instance(), max_len=3)
-        assert not rep["passed"]
-        assert Counter(w[0] for w in rep["passed"].witnesses) == expected
+        dga = s3_instance()
+        rep = check_group_dga(dga, max_len=3)
+        assert Counter(w[0] for w in rep["passed"].witnesses) == library
+        assert Counter(w[0] for w in reference_generator_sweeps(dga)) \
+            == oracle
 
     def test_cli_exits_1_under_a_mutant(self, monkeypatch, capsys):
         mutate(monkeypatch, *MUTANTS["d_sign"][0])
