@@ -90,9 +90,11 @@ GROUP_DGA_MAX_LEN = 3
 # (734k exponents), takes about 0.5 s in process on a 2-vCPU machine under
 # Python 3.11, most of it the rank of omega; Z_2 swapping 14 points with
 # a dense theta at --max-len 3 (618k) takes 0.25 s.  The bound does not
-# reach the associativity scan of group_dga._validate, which runs when
-# the instance is read, before any bound: it is O(s^3) in the group
-# order s, 0.77 s for Z_200 on one point
+# reach group_dga._validate, which runs when the instance is read: its
+# associativity test runs on a generating set, O(s^2 log s) in the order
+# s of a group (Z_300 on one point reads in 0.05 s), though a table that
+# is no group can take up to s generators and O(s^3) (max on 0..299,
+# associative without inverses, takes 2.5 s)
 MAX_D_SQUARED_EXPONENTS = 750_000
 
 
@@ -202,17 +204,27 @@ def _parse_prelie(payload):
     return PreLieProduct(dim, tuple(names), Tensor((dim, dim, dim), entries))
 
 
+# the case of each calculus and the parameters its metric takes
+_METRIC_FAMILIES = {"b1": (1, ("alpha",)), "b2": (2, ("beta",)),
+                    "b3": (3, ()), "b4": (4, ()), "b5": (5, ())}
+
+
 def _parse_metric(payload):
     calculus = payload["calculus"]
-    case = {"b1": 1, "b2": 2, "b3": 3, "b4": 4, "b5": 5}.get(calculus)
-    if case is None:
+    if calculus not in _METRIC_FAMILIES:
         raise SchemaError(f"unknown calculus {calculus!r}")
-    kwargs = {}
-    if "alpha" in payload:
-        kwargs["alpha"] = _parse_fraction(payload["alpha"])
-    if "beta" in payload:
-        kwargs["beta"] = _parse_fraction(payload["beta"])
+    case, takes = _METRIC_FAMILIES[calculus]
+    extra = sorted(set(payload) - {"calculus", "c", *takes})
+    if extra:
+        raise SchemaError(f"{calculus} takes no parameter {extra[0]!r}")
+    kwargs = {key: _parse_fraction(payload[key]) for key in takes
+              if key in payload}
     c = payload.get("c", {})
+    if not isinstance(c, dict):
+        raise SchemaError(f"c must be an object, got {c!r}")
+    extra = sorted(set(c) - {"c1", "c2", "c3"})
+    if extra:
+        raise SchemaError(f"unknown metric coefficient {extra[0]!r}")
     for key in ("c1", "c2", "c3"):
         if key in c:
             kwargs[key] = _parse_scalar(c[key])

@@ -63,10 +63,40 @@ class GroupDGAData:
             v if isinstance(v, Scalar) else Scalar(v) for v in self.theta))
 
 
+def _generators(cayley, identity):
+    """A generating set of the table, chosen greedily: the least element
+    outside the left-normed products of the generators so far.  In a
+    group those products form the subgroup they generate, which each new
+    generator at least doubles, so there are at most log2(s) of them."""
+    reached = [False] * len(cayley)
+    reached[identity] = True
+    products = [identity]
+    gens = []
+    for g in range(len(cayley)):
+        if reached[g]:
+            continue
+        gens.append(g)
+        stack = [cayley[x][g] for x in products]
+        while stack:
+            y = stack.pop()
+            if not reached[y]:
+                reached[y] = True
+                products.append(y)
+                stack.extend(cayley[y][h] for h in gens)
+    return gens
+
+
 def _validate(data: GroupDGAData):
-    size = len(data.cayley)
-    if any(len(r) != size for r in data.cayley):
+    cayley = data.cayley
+    size = len(cayley)
+    if any(len(r) != size for r in cayley):
         raise ValueError("cayley table is not square")
+    for g, row in enumerate(cayley):
+        if row and not 0 <= min(row) <= max(row) < size:
+            h, gh = next((h, gh) for h, gh in enumerate(row)
+                         if not 0 <= gh < size)
+            raise ValueError(f"cayley entry {gh} at {(g, h)} is not "
+                             f"in 0..{size - 1}")
     if len(data.action) != size:
         raise ValueError("one permutation per group element required")
     n = len(data.theta)
@@ -76,32 +106,40 @@ def _validate(data: GroupDGAData):
     # identity
     identity = None
     for e in range(size):
-        if all(data.cayley[e][h] == h and data.cayley[h][e] == h
+        if all(cayley[e][h] == h and cayley[h][e] == h
                for h in range(size)):
             identity = e
             break
     if identity is None:
         raise ValueError("no identity element")
-    # associativity and inverses
-    for a, b, c in iproduct(range(size), repeat=3):
-        if data.cayley[data.cayley[a][b]][c] != \
-                data.cayley[a][data.cayley[b][c]]:
-            raise ValueError(f"cayley table not associative at {(a, b, c)}")
-    inv = [None] * size
-    for g in range(size):
-        for h in range(size):
-            if data.cayley[g][h] == identity \
-                    and data.cayley[h][g] == identity:
-                inv[g] = h
-        if inv[g] is None:
+    # associativity by Light's test, (a g) c = a (g c) for generators g
+    # only: the elements g for which it holds for all a, c contain the
+    # identity and are closed under products, as for two of them
+    #   (a (g h)) c = ((a g) h) c = (a g) (h c) = a (g (h c)) = a ((g h) c),
+    # so they are every element.  O(s^2 log s) on a group; a table that
+    # is no group may need up to s generators
+    for b in _generators(cayley, identity):
+        row_b = cayley[b]
+        for a, row_a in enumerate(cayley):
+            row_ab = cayley[row_a[b]]
+            if row_ab != tuple(map(row_a.__getitem__, row_b)):
+                c = next(c for c, bc in enumerate(row_b)
+                         if row_ab[c] != row_a[bc])
+                raise ValueError(
+                    f"cayley table not associative at {(a, b, c)}")
+    # inverses: in a monoid a right inverse is the two-sided one, if any
+    inv = []
+    for g, row in enumerate(cayley):
+        h = row.index(identity) if identity in row else None
+        if h is None or cayley[h][g] != identity:
             raise ValueError(f"element {g} has no inverse")
+        inv.append(h)
     # the action is a homomorphism
     if data.action[identity] != tuple(range(n)):
         raise ValueError("identity must act trivially")
     for g, h in iproduct(range(size), repeat=2):
-        composed = tuple(data.action[g][data.action[h][i]]
-                         for i in range(n))
-        if composed != data.action[data.cayley[g][h]]:
+        if tuple(map(data.action[g].__getitem__, data.action[h])) \
+                != data.action[cayley[g][h]]:
             raise ValueError(f"action is not a homomorphism at {(g, h)}")
     return identity, tuple(inv)
 

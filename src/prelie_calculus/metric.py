@@ -7,15 +7,18 @@ commute by t x^a = x^a (t - lambda a); the form rules are read off the
 family's Xi by the rule dga uses, [e_i, de_j] = lambda d(e_i o e_j), i.e.
 d(xi) . e_i = e_i . d(xi) - lambda Xi[i, xi, eta] d(eta).
 
-Metrics are stored by their coefficients over the ordered tensor basis
-{dx(x)dx, dx(x)dt, dt(x)dx, dt(x)dt}.  The classical-limit scalar
-curvature is computed exactly by Brioschi's formula, over the single
-denominator (EG - F^2)^2.
+A metric is its u,v presentation: scalars c1, c2, c3 over the family's
+central 1-forms u and v.  Its coefficients over the ordered tensor basis
+{dx(x)dx, dx(x)dt, dt(x)dx, dt(x)dt} are expanded once, at construction.
+Centrality follows from u and v commuting with x and t, four
+commutators per family.  The classical-limit scalar curvature is
+computed exactly by Brioschi's formula, over the single denominator
+(EG - F^2)^2.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
@@ -44,7 +47,6 @@ __all__ = [
     "form_star",
     "normal_order_localized",
     "one_form_u_v",
-    "metric_from_uv",
     "standard_metric",
     "check_metric",
     "scalar_curvature_classical",
@@ -225,26 +227,6 @@ def one_form_u_v(calculus, param):
     return u, v
 
 
-@dataclass(frozen=True)
-class MetricCandidate:
-    """Quantum metric candidate on one of the supported calculi.
-
-    coefficients[xi][eta] is the function in front of d(xi) (x) d(eta),
-    normal-ordered to the far left.
-    """
-
-    calculus: str
-    param: object
-    coefficients: tuple
-
-    def __post_init__(self):
-        _require_calculus(self.calculus)
-        rows = tuple(tuple(row) for row in self.coefficients)
-        if len(rows) != 2 or any(len(r) != 2 for r in rows):
-            raise ValueError("coefficients must be a 2x2 matrix")
-        object.__setattr__(self, "coefficients", rows)
-
-
 def _tensor(calculus, param, w1, w2, scale=None):
     """Yield ((zeta, eta), function) pieces of w1 (x) w2 in normal order:
     (f1 d(xi)) (x) (f2 d(eta)) = f1 (d(xi) . f2) (x) d(eta)."""
@@ -260,44 +242,61 @@ def _tensor(calculus, param, w1, w2, scale=None):
                 yield (zeta, eta), func_mul(w1[xi], moved[zeta])
 
 
-def metric_from_uv(calculus, param, c1, c2, c3) -> MetricCandidate:
-    """Expand a metric given in its u,v-presentation:
+def _scale_form(w, s):
+    return {xi: w[xi].scale(s) for xi in (DX, DT)}
+
+
+@dataclass(frozen=True)
+class MetricCandidate:
+    """Quantum metric candidate on one of the supported calculi, in its
+    u,v presentation:
 
       first family: c1 u(x)u + c2(u(x)v + v(x)u) + c3 v(x)v
       others:       c1 u(x)u + c2(u(x)v + v*(x)u)
                     + c3(v*(x)v + k lambda (u(x)v - v*(x)u))
 
     with k = beta for the second family and 1 for the fourth and fifth.
+    coefficients[xi][eta], expanded at construction, is the function in
+    front of d(xi) (x) d(eta), normal-ordered to the far left.
     """
-    _require_calculus(calculus)
-    c1, c2, c3 = (Scalar(Fraction(c)) if not isinstance(c, Scalar) else c
-                  for c in (c1, c2, c3))
-    u, v = one_form_u_v(calculus, param)
-    if calculus == "b1":
-        acc = accumulate(chain(
-            _tensor(calculus, param, _scale_form(u, c1), u),
-            _tensor(calculus, param, _scale_form(u, c2), v),
-            _tensor(calculus, param, _scale_form(v, c2), u),
-            _tensor(calculus, param, _scale_form(v, c3), v)))
-    else:
-        k = Scalar(Fraction(param)) if calculus == "b2" else ONE
-        vs = form_star(calculus, param, v)
-        lam_k = _lam(k)
-        acc = accumulate(chain(
-            _tensor(calculus, param, _scale_form(u, c1), u),
-            _tensor(calculus, param, _scale_form(u, c2), v),
-            _tensor(calculus, param, _scale_form(vs, c2), u),
-            _tensor(calculus, param, _scale_form(vs, c3), v),
-            _tensor(calculus, param, _scale_form(u, c3), v, scale=lam_k),
-            _tensor(calculus, param, _scale_form(vs, c3), u,
-                    scale=-lam_k)))
-    rows = [[acc.get((xi, eta), GenPoly({})) for eta in (DX, DT)]
-            for xi in (DX, DT)]
-    return MetricCandidate(calculus, param, tuple(map(tuple, rows)))
 
+    calculus: str
+    param: object
+    c1: Scalar
+    c2: Scalar
+    c3: Scalar
+    coefficients: tuple = field(init=False, repr=False, compare=False)
 
-def _scale_form(w, s):
-    return {xi: w[xi].scale(s) for xi in (DX, DT)}
+    def __post_init__(self):
+        _require_calculus(self.calculus)
+        for name in ("c1", "c2", "c3"):
+            c = getattr(self, name)
+            if not isinstance(c, Scalar):
+                object.__setattr__(self, name, Scalar(Fraction(c)))
+        calculus, param = self.calculus, self.param
+        c1, c2, c3 = self.c1, self.c2, self.c3
+        u, v = one_form_u_v(calculus, param)
+        if calculus == "b1":
+            acc = accumulate(chain(
+                _tensor(calculus, param, _scale_form(u, c1), u),
+                _tensor(calculus, param, _scale_form(u, c2), v),
+                _tensor(calculus, param, _scale_form(v, c2), u),
+                _tensor(calculus, param, _scale_form(v, c3), v)))
+        else:
+            k = Scalar(Fraction(param)) if calculus == "b2" else ONE
+            vs = form_star(calculus, param, v)
+            lam_k = _lam(k)
+            acc = accumulate(chain(
+                _tensor(calculus, param, _scale_form(u, c1), u),
+                _tensor(calculus, param, _scale_form(u, c2), v),
+                _tensor(calculus, param, _scale_form(vs, c2), u),
+                _tensor(calculus, param, _scale_form(vs, c3), v),
+                _tensor(calculus, param, _scale_form(u, c3), v, scale=lam_k),
+                _tensor(calculus, param, _scale_form(vs, c3), u,
+                        scale=-lam_k)))
+        object.__setattr__(self, "coefficients", tuple(
+            tuple(acc.get((xi, eta), GenPoly({})) for eta in (DX, DT))
+            for xi in (DX, DT)))
 
 
 def standard_metric(case: int, alpha=None, beta=None,
@@ -308,19 +307,19 @@ def standard_metric(case: int, alpha=None, beta=None,
     if case == 1:
         if alpha is None:
             raise ValueError("case 1 requires alpha")
-        return metric_from_uv("b1", Fraction(alpha), c1, c2, c3)
+        return MetricCandidate("b1", Fraction(alpha), c1, c2, c3)
     if case == 2:
         if beta is None:
             raise ValueError("case 2 requires beta")
         if Fraction(beta) == 0:
             raise ValueError("case 2 requires beta != 0")
-        return metric_from_uv("b2", Fraction(beta), c1, c2, c3)
+        return MetricCandidate("b2", Fraction(beta), c1, c2, c3)
     if case == 3:
         _require_calculus("b3")
     if case == 4:
-        return metric_from_uv("b4", None, c1, c2, c3)
+        return MetricCandidate("b4", None, c1, c2, c3)
     if case == 5:
-        return metric_from_uv("b5", None, c1, c2, c3)
+        return MetricCandidate("b5", None, c1, c2, c3)
     raise ValueError(f"unknown metric case {case}")
 
 
@@ -330,31 +329,27 @@ def _entries(M: MetricCandidate):
             for eta, f in zip((DX, DT), row) if not f.is_zero()]
 
 
-def _metric_times_func(M: MetricCandidate, h: GenPoly):
-    """g . h with h moved into normal order through both tensor legs."""
-    return accumulate(
-        (legs, func_mul(f, g)) for xi, eta, f in _entries(M)
-        for legs, g in _past(M.calculus, M.param, (xi, eta), h).items())
-
-
 def check_metric(M: MetricCandidate):
     """Report {central, wedge_symmetric, real, nondegenerate}, each a
-    Verdict: the failing (generator, xi, eta) for central, "dx^dt" for
+    Verdict: the failing (generator, form) for central, "dx^dt" for
     wedge_symmetric, the failing (xi, eta) for real and "det" for
     nondegenerate."""
     calculus, param = M.calculus, M.param
     witnesses = {"central": [], "wedge_symmetric": [], "real": [],
                  "nondegenerate": []}
 
-    # centrality against the generators x and t
+    # centrality: g is a sum of central scalars times w (x) w' with w,
+    # w' in {u, v, v*}, and v* is central when v is (x* = x, t* = t), so
+    # g is central when u and v commute with x and t (README, "Centrality
+    # is a theorem of the u,v presentation")
+    u, v = one_form_u_v(calculus, param)
     for name, h in (("x", GenPoly.monomial(1, 0)),
                     ("t", GenPoly.monomial(0, 1))):
-        right = _metric_times_func(M, h)
-        for xi in (DX, DT):
-            for eta in (DX, DT):
-                left = func_mul(h, M.coefficients[xi][eta])
-                if left != right.get((xi, eta), GenPoly({})):
-                    witnesses["central"].append((name, xi, eta))
+        moved = [form_past_func(calculus, param, xi, h) for xi in (DX, DT)]
+        for form, w in (("u", u), ("v", v)):
+            if any(func_mul(h, w[eta]) != func_mul(w[DX], moved[DX][eta])
+                   + func_mul(w[DT], moved[DT][eta]) for eta in (DX, DT)):
+                witnesses["central"].append((name, form))
 
     # wedge: coefficient of dx /\ dt must cancel, diagonals wedge to 0
     wedge = M.coefficients[DX][DT] - M.coefficients[DT][DX]
@@ -414,40 +409,17 @@ def scalar_curvature_classical(M: MetricCandidate) -> RatFunc:
 
 
 def _closed_form_curvature(M: MetricCandidate):
-    """The classified closed-form scalar curvature, when the candidate
-    is in standard form; None outside it."""
+    """The classified closed-form scalar curvature of the candidate's
+    family at its c1, c2, c3; None where the c-matrix is degenerate or,
+    outside the first family, c3 = 0."""
+    c1, c2, c3 = M.c1, M.c2, M.c3
     if M.calculus == "b1":
         alpha = Fraction(M.param)
-        # read c1, c2, c3 back off the coefficient matrix
-        c1 = M.coefficients[0][0].terms.get((Fraction(-2), 0))
-        c2 = M.coefficients[0][1].terms.get((alpha - 1, 0))
-        c3 = M.coefficients[1][1].terms.get((2 * alpha, 0))
-        c1 = c1.coeff(0) if c1 else Scalar(0)
-        c2 = c2.coeff(0) if c2 else Scalar(0)
-        c3 = c3.coeff(0) if c3 else Scalar(0)
         det = c1 * c3 - c2 * c2
         if det.is_zero():
             return None
         val = Scalar(-2) * Scalar(alpha) * Scalar(alpha) * c3 / det
         return RatFunc(GenPoly({(Fraction(0), 0): val}))
-    def const(xi, eta, a):
-        """The lambda-free coefficient of x^a t^0 in front of dxi (x) deta."""
-        q = M.coefficients[xi][eta].terms.get((Fraction(a), 0))
-        return q.coeff(0) if q is not None else ZERO
-
-    # c1 and c3 sit at t^0 in E and G; c2 alone feeds the x^a t^0 term
-    # of F, where x^a is the frame determinant up to sign
-    if M.calculus == "b2":
-        beta = Fraction(M.param)
-        a, c1, c3 = 2 * beta - 1, const(DX, DX, 2 * beta - 2), \
-            const(DT, DT, 2 * beta)
-    elif M.calculus == "b4":
-        a, c1, c3 = -3, const(DT, DT, -4), const(DX, DX, -2)
-    elif M.calculus == "b5":
-        a, c1, c3 = 1, const(DX, DX, 0), const(DT, DT, 2)
-    else:
-        return None
-    c2 = const(DX, DT, a)
     if c3.is_zero():
         return None
     # the classical limit is c3 v' (x) v' + c1' u (x) u with v' = v +
@@ -459,6 +431,7 @@ def _closed_form_curvature(M: MetricCandidate):
     if c1.is_zero():
         return None
     if M.calculus == "b2":
+        beta = Fraction(M.param)
         # R = -4 beta^2 / (c1' x^(2 beta))
         return RatFunc(GenPoly({(-2 * beta, 0):
                                 Scalar(-4) * Scalar(beta) * Scalar(beta)}),

@@ -445,6 +445,45 @@ class TestCommandPath:
         assert err == "error: bad --lambda value 'zz'\n"
 
     @pytest.mark.parametrize("argv, message", [
+        (("--case", "4", "--alpha", "3"),
+         "error: bad metric parameter: b4 takes no parameter 'alpha'\n"),
+        (("--case", "2", "--beta", "1", "--alpha", "3"),
+         "error: bad metric parameter: b2 takes no parameter 'alpha'\n"),
+        (("--case", "1", "--alpha", "1", "--beta", "2"),
+         "error: bad metric parameter: b1 takes no parameter 'beta'\n"),
+    ])
+    def test_parameter_the_family_does_not_take_is_refused(self, capsys,
+                                                           argv, message):
+        code, out, err = run(capsys, "metric", *argv)
+        assert (code, out, err) == (2, "", message)
+
+    @pytest.mark.parametrize("payload, message", [
+        ({"calculus": "b4", "alpha": 3}, "b4 takes no parameter 'alpha'"),
+        ({"calculus": "b1", "alpha": 1, "gamma": 2},
+         "b1 takes no parameter 'gamma'"),
+        ({"calculus": "b4", "c": [1, 2]}, "c must be an object, got [1, 2]"),
+        ({"calculus": "b4", "c": {"c1": 1, "c4": 7}},
+         "unknown metric coefficient 'c4'"),
+    ])
+    def test_metric_file_input_that_would_be_ignored_is_refused(
+            self, capsys, tmp_path, payload, message):
+        path = _write(tmp_path, {"id": "m", "kind": "metric",
+                                 "payload": payload})
+        code, out, err = run(capsys, "metric", "--instance-file", path)
+        assert (code, out, err) == (3, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("cayley, entry", [
+        ([[0, 1], [1, -2]], "cayley entry -2 at (1, 1) is not in 0..1"),
+        ([[0, 1], [1, 2]], "cayley entry 2 at (1, 1) is not in 0..1"),
+    ])
+    def test_group_table_entry_out_of_range_is_refused(
+            self, capsys, tmp_path, cayley, entry):
+        path = _write(tmp_path, {"id": "g", "kind": "group_dga", "payload": {
+            "cayley": cayley, "action": [[0], [0]], "theta": [1]}})
+        code, out, err = run(capsys, "groupdga", "--instance-file", path)
+        assert (code, out, err) == (3, "", f"error: {entry}\n")
+
+    @pytest.mark.parametrize("argv, message", [
         (("--case", "1", "--alpha", "1", "--instance", "metric-case4"),
          "error: --case cannot be combined with --instance or "
          "--instance-file\n"),
@@ -792,7 +831,9 @@ CAN_FAIL = {
 }
 
 CATALOG_ONLY = "no instance file carries this kind; every catalog entry passes"
-CENTRAL = "a metric input is the u,v presentation, and u and v are central"
+CENTRAL = "a metric input is the u,v presentation, so central is the " \
+    "four-commutator certificate on u and v (README theorem: centrality " \
+    "is a theorem of the u,v presentation)"
 WEDGE = "the u,v presentation has a symmetric c-matrix, so dx^dt cancels"
 GROUP_DGA = "d^2 = 0 follows from the rewrite rules on every valid group " \
     "DGA (README theorem: group-DGA identities are theorems of the " \

@@ -1,7 +1,10 @@
+import ast
 import inspect
 import random
+import re
 import sys
 import textwrap
+import time
 from collections import Counter
 from fractions import Fraction
 from itertools import product as iproduct
@@ -15,6 +18,7 @@ from prelie_calculus.group_dga import (
     GroupDGA,
     GroupDGAData,
     _d_squared_size,
+    _generators,
     _monomials,
     check_group_dga,
     s3_instance,
@@ -197,6 +201,70 @@ class TestValidation:
             GroupDGA(GroupDGAData(
                 cayley=((0, 1, 2), (1, 2, 0), (2, 1, 0)),
                 action=((0,), (0,), (0,)), theta=(ONE,)))
+
+    def test_non_associative_only_off_the_generators(self):
+        """Z_4 with 2.2 = 1 and 2.3 = 0: every product with the generator
+        1 is that of Z_4 and the defect is a product of non-generators,
+        yet the test on the generator finds a failing triple."""
+        cayley = ((0, 1, 2, 3), (1, 2, 3, 0), (2, 3, 1, 0), (3, 0, 1, 2))
+        assert _generators(cayley, 0) == [1]
+        with pytest.raises(ValueError, match="not associative") as exc:
+            GroupDGA(GroupDGAData(cayley=cayley, action=((0,),) * 4,
+                                  theta=(ONE,)))
+        a, b, c = ast.literal_eval(str(exc.value).rsplit(" at ", 1)[1])
+        assert cayley[cayley[a][b]][c] != cayley[a][cayley[b][c]]
+
+    def test_associativity_agrees_with_the_full_scan(self):
+        """On every table of order 3 with identity 0, on Z_4 and Z_2 x Z_2
+        and on seeded tables of order 4, the test on generators refuses a
+        table exactly when some triple is not associative."""
+        def table(size, free):
+            free = iter(free)
+            return tuple(tuple(h if g == 0 else g if h == 0 else next(free)
+                               for h in range(size)) for g in range(size))
+
+        rng = random.Random(4)
+        tables = [table(3, free) for free in iproduct(range(3), repeat=4)]
+        tables += [tuple(tuple((g + h) % 4 for h in range(4))
+                         for g in range(4)),
+                   tuple(tuple(g ^ h for h in range(4)) for g in range(4))]
+        tables += [table(4, (rng.randrange(4) for _ in range(9)))
+                   for _ in range(200)]
+        outcomes = Counter()
+        for cayley in tables:
+            size = len(cayley)
+            scan = all(cayley[cayley[a][b]][c] == cayley[a][cayley[b][c]]
+                       for a, b, c in iproduct(range(size), repeat=3))
+            try:
+                GroupDGA(GroupDGAData(cayley=cayley,
+                                      action=((0,),) * size, theta=(ONE,)))
+                refused = False
+            except ValueError as exc:
+                refused = "not associative" in str(exc)
+            assert refused == (not scan), cayley
+            outcomes[scan] += 1
+        assert outcomes[True] >= 2 and outcomes[False]
+
+    @pytest.mark.parametrize("cayley, entry", [
+        (((0, 1), (1, -2)), "-2 at (1, 1)"),
+        (((0, 2), (1, 0)), "2 at (0, 1)"),
+    ])
+    def test_entry_out_of_range_rejected(self, cayley, entry):
+        """A negative entry would alias a row through Python indexing."""
+        with pytest.raises(ValueError,
+                           match=re.escape(f"cayley entry {entry} ")):
+            GroupDGA(GroupDGAData(cayley=cayley, action=((0,), (0,)),
+                                  theta=(ONE,)))
+
+    def test_cyclic_group_of_order_300_reads_fast(self):
+        size = 300
+        data = GroupDGAData(
+            cayley=tuple(tuple((a + b) % size for b in range(size))
+                         for a in range(size)),
+            action=((0,),) * size, theta=(ONE,))
+        start = time.perf_counter()
+        GroupDGA(data)
+        assert time.perf_counter() - start < 0.2
 
     def test_non_homomorphism_rejected(self):
         # Z2 where the non-identity element acts trivially is fine, but

@@ -22,12 +22,12 @@ from prelie_calculus.metric import (
     DT,
     DX,
     MetricCandidate,
+    _closed_form_curvature,
     check_metric,
     form_past_func,
     form_star,
     func_mul,
     func_star,
-    metric_from_uv,
     normal_order_localized,
     one_form_u_v,
     scalar_curvature_classical,
@@ -330,23 +330,6 @@ class TestStar:
         assert vs == expect
 
 
-class TestCentralForms:
-    def test_u_v_central(self):
-        """u and v commute with both generators on every calculus."""
-        for calc, param in ALL_CALCULI:
-            for w in one_form_u_v(calc, param):
-                for h in (X, T):
-                    # h . w - w . h componentwise
-                    left = {xi: func_mul(h, w[xi]) for xi in (DX, DT)}
-                    right = {DX: GenPoly({}), DT: GenPoly({})}
-                    for xi in (DX, DT):
-                        moved = form_past_func(calc, param, xi, h)
-                        for zeta in (DX, DT):
-                            right[zeta] = right[zeta] + func_mul(
-                                w[xi], moved[zeta])
-                    assert left == right, (calc, w)
-
-
 class TestStandardMetrics:
     def test_case1_display(self):
         a = Fraction(3)
@@ -427,6 +410,129 @@ def catalog_metrics():
     ]
 
 
+def reference_central(M):
+    """The (generator, xi, eta) at which h g != g h for h in {x, t}, where
+    g is whatever coefficient matrix M holds: h is moved into normal order
+    through both tensor legs of every entry, the second leg first."""
+    calc, param, rows = M.calculus, M.param, M.coefficients
+    witnesses = []
+    for name, h in (("x", X), ("t", T)):
+        right = {}
+        for xi in (DX, DT):
+            for eta in (DX, DT):
+                for kappa, g in form_past_func(calc, param, eta, h).items():
+                    moved = form_past_func(calc, param, xi, g)
+                    for zeta, f in moved.items():
+                        right[zeta, kappa] = right.get(
+                            (zeta, kappa), GenPoly({})) \
+                            + func_mul(rows[xi][eta], f)
+        witnesses += [(name, xi, eta) for xi in (DX, DT) for eta in (DX, DT)
+                      if func_mul(h, rows[xi][eta])
+                      != right.get((xi, eta), GenPoly({}))]
+    return witnesses
+
+
+def with_coefficients(M, rows):
+    """M with its coefficient matrix overwritten by rows: a mutant that no
+    u,v presentation gives."""
+    object.__setattr__(M, "coefficients", rows)
+    return M
+
+
+def seeded_metrics(seed, count, case, heights=(3, 50, 10 ** 6)):
+    """count u,v metrics of the case with a drawn exponent (cases 1 and
+    2), complex c1, c2, c3 with c2 != 0 and c3 != 0, and a nondegenerate
+    c-matrix, at the heights in turn."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        height = heights[len(out) % len(heights)]
+
+        def rational():
+            return Fraction(rng.choice([-1, 1]) * rng.randint(1, height),
+                            rng.randint(1, height))
+
+        def gaussian():
+            return Scalar(rational(), rng.choice([0, rational()]))
+
+        exp, c1, c2, c3 = rational(), gaussian(), gaussian(), gaussian()
+        if (c1 * c3 - c2 * c2).is_zero():
+            continue
+        out.append(standard_metric(case, alpha=exp if case == 1 else None,
+                                   beta=exp if case == 2 else None,
+                                   c1=c1, c2=c2, c3=c3))
+    return out
+
+
+class TestCentralCertificate:
+    """check_metric decides central from u and v commuting with x and t;
+    reference_central moves x and t through every entry of the matrix."""
+
+    def test_u_v_central(self):
+        """u and v commute with both generators on every calculus."""
+        for calc, param in ALL_CALCULI:
+            for w in one_form_u_v(calc, param):
+                for h in (X, T):
+                    # h . w - w . h componentwise
+                    left = {xi: func_mul(h, w[xi]) for xi in (DX, DT)}
+                    right = {DX: GenPoly({}), DT: GenPoly({})}
+                    for xi in (DX, DT):
+                        moved = form_past_func(calc, param, xi, h)
+                        for zeta in (DX, DT):
+                            right[zeta] = right[zeta] + func_mul(
+                                w[xi], moved[zeta])
+                    assert left == right, (calc, w)
+
+    def test_oracle_agrees_on_catalog_metrics(self):
+        for name, M in catalog_metrics():
+            assert check_metric(M)["central"], name
+            assert reference_central(M) == [], name
+
+    @pytest.mark.parametrize("case", [1, 2, 4, 5])
+    def test_oracle_agrees_on_seeded_metrics(self, case):
+        for M in seeded_metrics(19 + case, 3, case):
+            assert check_metric(M)["central"], (M.param, M.c1, M.c2, M.c3)
+            assert reference_central(M) == [], (M.param, M.c1, M.c2, M.c3)
+
+    @pytest.mark.parametrize("calc, param", ALL_CALCULI)
+    def test_noncentral_v_caught_by_both(self, monkeypatch, calc, param):
+        """A source mutant of one_form_u_v whose v has its dt part
+        multiplied by x: the certificate and the oracle both flag the
+        metric built from it."""
+        one_form = metric.one_form_u_v
+
+        def mutant(calculus, p):
+            u, v = one_form(calculus, p)
+            return u, {DX: v[DX], DT: func_mul(X, v[DT])}
+
+        monkeypatch.setattr(metric, "one_form_u_v", mutant)
+        M = MetricCandidate(calc, param, 2, 1, 5)
+        rep = check_metric(M)
+        assert not rep["central"]
+        assert {form for _, form in rep["central"].witnesses} == {"v"}
+        assert reference_central(M) != []
+
+    @pytest.mark.parametrize("case, param", [(1, Fraction(3)),
+                                             (2, Fraction(2)),
+                                             (4, None), (5, None)])
+    def test_form_past_func_calls(self, monkeypatch, case, param):
+        """The certificate moves x and t past dx and dt once each: at most
+        16 form_past_func calls per check, reality included."""
+        M = standard_metric(case, alpha=param if case == 1 else None,
+                            beta=param if case == 2 else None,
+                            c1=2, c2=1, c3=5)
+        calls = []
+        form_past = metric.form_past_func
+
+        def counted(*args):
+            calls.append(args)
+            return form_past(*args)
+
+        monkeypatch.setattr(metric, "form_past_func", counted)
+        assert all(check_metric(M).values())
+        assert len(calls) <= 16
+
+
 class TestCheckMetric:
     def test_case1_simple_all_pass(self):
         # g = x^-2 dx(x)dx + x^-4 dt(x)dt at alpha = -2
@@ -449,7 +555,7 @@ class TestCheckMetric:
 
     def test_antisymmetric_fails_wedge(self):
         # g = dx(x)dt - dt(x)dx has wedge 2 dx^dt
-        M = MetricCandidate("b1", Fraction(1), (
+        M = with_coefficients(standard_metric(1, alpha=Fraction(1)), (
             (GenPoly({}), GenPoly.const(1)),
             (GenPoly.const(-1), GenPoly({}))))
         rep = check_metric(M)
@@ -462,18 +568,18 @@ class TestCheckMetric:
         assert rep["central"]
 
     def test_noncentral_detected(self):
-        M = MetricCandidate("b4", None, (
+        # dx(x)dx + dt(x)dt on the fourth calculus: no u,v presentation
+        M = with_coefficients(standard_metric(4), (
             (GenPoly.const(1), GenPoly({})),
             (GenPoly({}), GenPoly.const(1))))
-        rep = check_metric(M)
-        assert not rep["central"]
+        assert reference_central(M) != []
 
     def test_centrality_survives_t_shift(self):
         """Replacing v by v - c2 u (the shift t -> t + const) keeps
         every predicate true."""
         for beta in (Fraction(1), Fraction(2)):
             for c2 in (Fraction(1), Fraction(-3, 2)):
-                shifted = metric_from_uv("b2", beta, 1, c2, 1)
+                shifted = MetricCandidate("b2", beta, 1, c2, 1)
                 rep = check_metric(shifted)
                 assert all(rep[k] for k in rep), (beta, c2)
 
@@ -495,7 +601,7 @@ class TestCurvature:
         assert ratfunc_equal(R, RatFunc.const(-2))
 
     def test_flat_euclidean(self):
-        M = MetricCandidate("b1", Fraction(1), (
+        M = with_coefficients(standard_metric(1, alpha=Fraction(1)), (
             (GenPoly.const(1), GenPoly({})),
             (GenPoly({}), GenPoly.const(1))))
         R = scalar_curvature_classical(M)
@@ -613,6 +719,16 @@ class TestCurvature:
         R = scalar_curvature_classical(M)
         assert sympy.expand(
             oracle * expr(R.den) - expr(R.num) * det ** 3) == 0
+
+    @pytest.mark.parametrize("case", [1, 2, 4, 5])
+    def test_closed_form_from_c(self, case):
+        """The closed form of the classification, taken at the
+        candidate's c1, c2, c3, equals Brioschi's R on seeded u,v
+        metrics with complex c and c2 != 0."""
+        for M in seeded_metrics(7 * case, 10, case):
+            assert ratfunc_equal(scalar_curvature_classical(M),
+                                 _closed_form_curvature(M)), \
+                (M.param, M.c1, M.c2, M.c3)
 
     @pytest.mark.parametrize("case", [4, 5])
     def test_single_denominator(self, case):
