@@ -61,9 +61,9 @@ from .su2 import verify_su2_bicrossproduct_omega, verify_su2_semiclassical
 USAGE_ERROR, CHECK_FAILED, SCHEMA_ERROR = 2, 1, 3
 
 # `calculus` refuses a run over more PBW words than this, counting the
-# empty word: C(dim + max-len, max-len).  The first order costs O(dim^2)
-# products whatever the max-len, so a run costs d of each word once, for
-# the connectedness certificate.  The slowest admitted run measured, a
+# empty word: C(dim + max-len, max-len).  The first order costs two
+# contractions whatever the max-len, so a run costs d of each word once,
+# for the connectedness certificate.  The slowest admitted run measured, a
 # dense dim-3 instance file at --max-len 12 (455 words), takes 0.45 s on
 # a 2-vCPU machine under Python 3.11; dense dim-4 at --max-len 8 (495
 # words) takes 0.32 s and b4 at --max-len 30 0.34 s

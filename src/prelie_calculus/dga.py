@@ -1,10 +1,9 @@
 """Noncommutative differential calculus on the deformed enveloping
 algebra U_lambda(m).
 
-U_lambda(m) carries the relations x y - y x = lambda [x,y]; elements are
-kept in PBW normal form (weakly increasing words in the fixed basis
-order).  The first-order calculus is generated by dx_i with the
-commutation rule
+U_lambda(m) carries the relations x y - y x = lambda [x,y]; its PBW
+basis is the weakly increasing words in the fixed basis order.  The
+first-order calculus is generated by dx_i with the commutation rule
 
     de_j . e_i = e_i . de_j - lambda sum_k Xi[i,j,k] de_k
 
@@ -12,75 +11,38 @@ coming from [x, dy] = lambda d(x o y), and extends to a differential
 graded algebra with the classical Grassmann wedge on the de_i.
 
 check_calculus decides the first-order calculus from the relations (R)
-and (D) on pairs of generators, and certifies connectedness from d of
-every PBW word, given by a closed formula.  That the closed formula is
-the derivation the relations define, (P), is a theorem (README), kept
-in the tests as a sweep over words.
+and (D) on pairs of generators, which are the compatibility and the
+flat-right-action identities of the product, one contraction each, and
+certifies connectedness from d of every PBW word, given by a closed
+formula.  Both reductions are theorems (README); the tests keep the
+rewriting of forms past words as their oracle.
 """
 
 from __future__ import annotations
 
-from itertools import chain, combinations_with_replacement, product
+from itertools import combinations_with_replacement, product
 from math import comb, prod
 
-from .exact_core import (
-    LAMBDA,
-    L_ONE,
-    ONE,
-    Scalar,
-    Verdict,
-    _lambda,
-    _sorted_forms,
-    accumulate,
-)
+from .exact_core import Scalar, Verdict, _lambda, accumulate
 from .liebialg import LieAlgebra, basis_vec
-from .prelie import PreLieProduct
+from .prelie import (
+    PreLieProduct,
+    check_compatibility,
+    check_flat_right_action,
+)
 
 __all__ = ["check_calculus"]
 
 
-def _rewrite_word(word, coeff, bracket, leftmost=True):
-    """Yield (PBW word, coefficient) pairs summing to the normal form of
-    coeff*word; a word may occur more than once."""
-    stack = [(tuple(word), coeff)]
-    n = bracket.shape[2]
-    while stack:
-        w, c = stack.pop()
-        descents = [i for i in range(len(w) - 1) if w[i] > w[i + 1]]
-        if not descents:
-            yield w, c
-            continue
-        i = descents[0] if leftmost else descents[-1]
-        swapped = w[:i] + (w[i + 1], w[i]) + w[i + 2:]
-        stack.append((swapped, c))
-        a, b = w[i], w[i + 1]
-        for k in range(n):
-            s = bracket.get(a, b, k)
-            if not s.is_zero():
-                stack.append((w[:i] + (k,) + w[i + 2:], c * LAMBDA * s))
-
-
-def _times(a, b):
-    """a * b, skipping a factor that is the L_ONE object: the unit
-    coefficient that _rewrite_word and accumulate pass on unchanged, and
-    the most common factor in past and form_mul."""
-    return b if a is L_ONE else a if b is L_ONE else a * b
-
-
 class _Calculus:
-    """Memo tables for the calculus of one pre-Lie product and, for
-    products, its Lie algebra m: omega and d of each PBW word, the normal
-    form of each word and forms moved past each word.  check_calculus
-    builds one instance per call, so no table outlives the call, and
-    shares it between the first-order and the connectedness check."""
+    """Memo tables for the calculus of one pre-Lie product: omega and d
+    of each PBW word.  check_calculus builds one instance per call, so no
+    table outlives the call."""
 
-    def __init__(self, prelie: PreLieProduct, m: LieAlgebra = None):
+    def __init__(self, prelie: PreLieProduct):
         self.prelie = prelie
-        self.m = m
         self._omega = {}
         self._d = {}
-        self._normal = {}
-        self._past = {}
 
     def omega(self, word):
         """omega(x_1 ... x_n) = ((x_1 <| x_2) ... <| x_n) with
@@ -134,66 +96,6 @@ class _Calculus:
                     terms[(prefix, (k,))] = _lambda(den, lead + ((re, im),))
         return terms
 
-    def normal(self, word):
-        """Terms of the PBW normal form of a word."""
-        terms = self._normal.get(word)
-        if terms is None:
-            terms = self._normal[word] = accumulate(
-                _rewrite_word(word, L_ONE, self.m.bracket))
-        return terms
-
-    def past(self, forms, word):
-        """Rewrite forms . word as a sum of word' . forms' terms.
-
-        Uses de_j . e_i = e_i . de_j - lambda Xi[i,j,k] de_k; the output
-        words are in original letter order (not normalized).
-        """
-        key = (forms, word)
-        out = self._past.get(key)
-        if out is not None:
-            return out
-        if not word:
-            out = {((), forms): L_ONE}
-        else:
-            prelie = self.prelie
-            i, rest = word[0], word[1:]
-            pieces = [((i,), forms, L_ONE)]
-            for s, j in enumerate(forms):
-                for k in range(prelie.dim):
-                    cs = prelie.xi.get(i, j, k)
-                    if cs.is_zero():
-                        continue
-                    sf = _sorted_forms(forms[:s] + (k,) + forms[s + 1:])
-                    if sf is None:
-                        continue
-                    sign, nf = sf
-                    pieces.append(((), nf, LAMBDA * (-(cs * sign))))
-            out = accumulate(
-                ((pre + w2, f3), _times(co, co2))
-                for pre, f2, co in pieces
-                for (w2, f3), co2 in self.past(f2, rest).items())
-        self._past[key] = out
-        return out
-
-    def form_mul(self, a, b):
-        """Terms of the product of the forms with terms a and b."""
-        def pieces():
-            for (u, eta), ca in a.items():
-                for (v, xi), cb in b.items():
-                    cab = _times(ca, cb)
-                    for (w, eta2), cc in self.past(eta, v).items():
-                        sf = _sorted_forms(eta2 + xi)
-                        if sf is None:
-                            continue
-                        sign, wedge = sf
-                        coeff = _times(cab, cc)
-                        if sign != ONE:
-                            coeff = -coeff
-                        for pw, pc in self.normal(u + w).items():
-                            yield (pw, wedge), _times(pc, coeff)
-
-        return accumulate(pieces())
-
 
 def _pbw_words(dim, max_len):
     for ln in range(max_len + 1):
@@ -201,41 +103,9 @@ def _pbw_words(dim, max_len):
             yield word
 
 
-def _signed_sum(*parts):
-    """Terms of the sum of sign * terms over (sign, terms) parts."""
-    return accumulate((key, q if sign > 0 else -q)
-                      for sign, terms in parts for key, q in terms.items())
-
-
-def _bimodule_holds(calc, x, y):
-    """(R): de_k . (xy - yx - lambda[x,y]) = 0 for every k, moving de_k
-    past each letter of the words as they stand."""
-    n = calc.prelie.dim
-    rel = {((x, y), ()): L_ONE, ((y, x), ()): -L_ONE}
-    for k in range(n):
-        s = calc.m.bracket.get(x, y, k)
-        if not s.is_zero():
-            rel[((k,), ())] = -(LAMBDA * s)
-    return not any(calc.form_mul({((), (k,)): L_ONE}, rel)
-                   for k in range(n))
-
-
-def _bracket_holds(calc, x, y):
-    """(D): dx.y + x.dy - dy.x - y.dx - lambda d[x,y] = 0, with every
-    product from form_mul."""
-    fx, fy = {((x,), ()): L_ONE}, {((y,), ()): L_ONE}
-    dx, dy = {((), (x,)): L_ONE}, {((), (y,)): L_ONE}
-    lie = {((), (k,)): LAMBDA * calc.m.bracket.get(x, y, k)
-           for k in range(calc.prelie.dim)}
-    return not _signed_sum(
-        (1, calc.form_mul(dx, fy)), (1, calc.form_mul(fx, dy)),
-        (-1, calc.form_mul(dy, fx)), (-1, calc.form_mul(fy, dx)),
-        (-1, lie))
-
-
-def _first_order(calc):
+def _first_order(m, prelie):
     """Exact consistency of the first-order calculus on U_lambda(m), with
-    lambda formal, on the tables of calc.
+    lambda formal.
 
     The calculus is defined by generators and relations, so d extends
     from d(x) = dx to a derivation of U_lambda(m) exactly when, for all
@@ -244,18 +114,21 @@ def _first_order(calc):
           commutation rule defines a bimodule (witnesses "bimodule");
       (D) dx.y + x.dy - dy.x - y.dx - lambda d[x,y] = 0 in Omega^1, so
           that derivation kills the relations (witnesses "bracket").
-    The closed formula of d_word is that derivation on every PBW word,
-    whatever the product and the bracket (README, "(P) is a theorem of
-    the closed formula"), so Leibniz d(uv) = (du)v + u(dv) then holds on
-    every pair of words, at O(n^2) products.  Witnesses are tagged with
-    their identity: ("bracket", x, y) and ("bimodule", x, y).
+    For an antisymmetric bracket, (D) at (x, y) is lambda times the
+    compatibility defect at (x, y, .) and (R) at (x, y) is lambda^2
+    times the flat-right-action defect at (x, y, k, .) (README, "(R) and
+    (D) are compatibility and flatness"), so each is one contraction,
+    independent of the words.  The closed formula of d_word is that
+    derivation on every PBW word (README, "(P) is a theorem of the
+    closed formula"), so Leibniz d(uv) = (du)v + u(dv) then holds on
+    every pair of words.  Witnesses are the pairs x < y that fail, tagged
+    with their identity: ("bracket", x, y), then ("bimodule", x, y).
     """
-    n = calc.prelie.dim
-    generators = [(x, y) for x in range(n) for y in range(x + 1, n)]
-    return Verdict(chain(
-        (("bracket", *g) for g in generators if not _bracket_holds(calc, *g)),
-        (("bimodule", *g) for g in generators
-         if not _bimodule_holds(calc, *g))))
+    return Verdict(
+        (tag, x, y)
+        for tag, verdict in (("bracket", check_compatibility(prelie, m)),
+                             ("bimodule", check_flat_right_action(prelie, m)))
+        for x, y in sorted({w[:2] for w in verdict.witnesses if w[0] < w[1]}))
 
 
 def _connected(calc, words, lam):
@@ -293,11 +166,10 @@ def check_calculus(m: LieAlgebra, prelie: PreLieProduct, max_len: int,
                    lambda_value: Scalar) -> dict:
     """The calculus report on U_lambda(m) for words up to max_len,
     {"first_order": Verdict, "kernel_dimension": 1, "connected": True},
-    read off one set of tables, so that each PBW word is differentiated
-    once.
+    each PBW word differentiated once.
 
     The first-order Verdict is that of the (R)/(D) generator certificate
-    of _first_order, at O(n^2) products and independent of max_len; the
+    of _first_order, two contractions independent of max_len; the
     connectedness pass is the only one that reads d of every PBW word up
     to max_len.  The kernel of d on the PBW filtration level U_max_len
     at lambda = lambda_value is the constants for every product and
@@ -307,9 +179,9 @@ def check_calculus(m: LieAlgebra, prelie: PreLieProduct, max_len: int,
     """
     if prelie.dim != m.dim:
         raise ValueError("dimension mismatch")
-    calc = _Calculus(prelie, m)
-    first = _first_order(calc)
-    if not _connected(calc, _pbw_words(m.dim, max_len), lambda_value):
+    first = _first_order(m, prelie)
+    if not _connected(_Calculus(prelie), _pbw_words(m.dim, max_len),
+                      lambda_value):
         raise AssertionError("d table fails the connectedness certificate "
                              f"at n = {max_len}")
     return {"first_order": first, "kernel_dimension": 1, "connected": True}

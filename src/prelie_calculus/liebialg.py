@@ -82,7 +82,6 @@ class ActionTensor:
     actor_dim: int
     target_dim: int
     coefficients: Tensor  # shape (actor, target, target)
-    is_action: bool = True  # some uses are only "almost" actions
 
     def __post_init__(self):
         if self.coefficients.shape != (
@@ -311,6 +310,8 @@ def bicross_sum(P: MatchedPair, m_bialgebra: LieBialgebra,
     (transpose of its bracket).  Basis ordering: m-part first, then
     g*-part (matching the pair notation (phi, f)).
     """
+    if not check_matched_pair(P):
+        raise ValueError("matched-pair identities fail")
     g, m = P.g, P.m
     if m_bialgebra.dim != m.dim or g_bialgebra.dim != g.dim:
         raise ValueError("bialgebra data dims mismatch")

@@ -1,6 +1,6 @@
 """The two SU(2) verifications.
 
-First, the semiclassical extraction: the hardcoded preconnection
+First, the semiclassical extraction: the catalog's preconnection
 coefficients on the dual of su2 form a pre-Lie product compatible with
 the su2* bracket, and a basis change exhibits the real form
 t o t = -2t, t o x_i = -x_i (a 3D analogue of the first 2D family at
@@ -32,7 +32,7 @@ from .exact_core import (
     ZERO,
     accumulate,
 )
-from .catalog import b_family, su2_dual_lie
+from .catalog import b_family, su2_dual_lie, su2_dual_prelie
 from .prelie import (
     PreLieProduct,
     change_basis,
@@ -270,24 +270,11 @@ def verify_su2_bicrossproduct_omega() -> Verdict:
     return Verdict(failures)
 
 
-# dual Chevalley basis order: 0 = phi, 1 = psi+, 2 = psi-
-def _semiclassical_xi(mutated=False) -> PreLieProduct:
-    """Xi(phi,phi) = -i phi, Xi(phi,psi+-) = -(i/2) psi+-."""
-    plus = -I if mutated else -I * HALF
-    entries = {
-        (0, 0, 0): -I,
-        (0, 1, 1): plus,
-        (0, 2, 2): -I * HALF,
-    }
-    return PreLieProduct(3, ("phi", "psi+", "psi-"),
-                         Tensor((3, 3, 3), entries))
-
-
 def verify_su2_semiclassical() -> Verdict:
     """Check the semiclassical pre-Lie structure on the dual of su2; the
     witnesses name the failing steps."""
     failures = []
-    X = _semiclassical_xi()
+    X = su2_dual_prelie()
     dual = su2_dual_lie()
 
     if not check_left_symmetry(X):
@@ -323,9 +310,11 @@ def verify_su2_semiclassical() -> Verdict:
         if sub != dict(b_family("b1", Fraction(-2)).xi.entries):
             failures.append("b1-subalgebra")
 
-    # transcription guard: flipping Xi(phi,psi+) to -i must break
-    # compatibility with the dual bracket
-    if check_compatibility(_semiclassical_xi(mutated=True), dual):
+    # transcription guard: flipping Xi(phi,psi+) from -i/2 to -i must
+    # break compatibility with the dual bracket
+    mutant = PreLieProduct(X.dim, X.basis_names, Tensor(
+        X.xi.shape, {**X.xi.entries, (0, 1, 1): -I}))
+    if check_compatibility(mutant, dual):
         failures.append("mutation-not-detected")
 
     return Verdict(failures)

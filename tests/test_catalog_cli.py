@@ -878,6 +878,32 @@ def test_field_can_fail(capsys, tmp_path, command, field):
     assert code == 1
 
 
+# every dim-2 catalog product, then each dim-2 file of CAN_FAIL, named
+# after the field it fails
+DIM2_PRELIE = [
+    pytest.param(["--instance", e["id"]], id=e["id"]) for e in load_catalog()
+    if e["kind"] == "prelie" and e["build"]().dim == 2] + [
+    pytest.param(items[1:], id=f"{command}-{field}")
+    for (command, field), items in sorted(CAN_FAIL.items())
+    if isinstance(items[1], dict) and items[1]["kind"] == "prelie"]
+
+
+@pytest.mark.parametrize("source", DIM2_PRELIE)
+def test_first_order_is_compatibility_and_flatness(capsys, tmp_path, source):
+    """calculus decides first_order from the two identities that check
+    prints (README theorem: (R) and (D) are compatibility and
+    flatness)."""
+    argv = _argv(tmp_path, source)
+    _, out, _ = run(capsys, "check", *argv, "--json")
+    (checked,) = json.loads(out).values()
+    code, out, _ = run(capsys, "calculus", "--max-len", "2", *argv,
+                       "--json")
+    (calculus,) = json.loads(out).values()
+    assert calculus["first_order"] == (checked["compatibility"]
+                                       and checked["flat_right_action"])
+    assert code == (0 if calculus["first_order"] else 1)
+
+
 def test_every_printed_field_is_classified(capsys, tmp_path):
     """The boolean fields printed over the whole catalog and the failing
     inputs above are exactly the classified ones."""

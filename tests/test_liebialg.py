@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -267,6 +268,30 @@ class TestBicrossSum:
         # cobracket beta-part: beta(f) = sum_i f^i (x) f <| e_i nonzero
         assert not out.coalgebra.cobracket.is_zero()
         assert check_bialgebra_cocycle(out)
+
+
+class TestBrokenMatchedPair:
+    """The su2 coadjoint pair with its left action doubled fails the
+    matched-pair identities; both sums refuse it as bad input before
+    they build a bracket."""
+
+    @staticmethod
+    def doubled_left_action():
+        P = su2_coadjoint_matched_pair()
+        return replace(P, left_action=ActionTensor(
+            3, 3, P.left_action.coefficients.scale(Scalar(2))))
+
+    def test_fails_the_identities(self):
+        assert not check_matched_pair(self.doubled_left_action())
+
+    def test_double_cross_sum_refuses(self):
+        with pytest.raises(ValueError, match="matched-pair identities"):
+            double_cross_sum(self.doubled_left_action())
+
+    def test_bicross_sum_refuses(self):
+        P = self.doubled_left_action()
+        with pytest.raises(ValueError, match="matched-pair identities"):
+            bicross_sum(P, zero_cobracket(P.m), zero_cobracket(P.g))
 
 
 class TestCrossedModule:

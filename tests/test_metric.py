@@ -6,7 +6,6 @@ from hypothesis import Phase, given, settings, strategies as st
 
 from prelie_calculus import metric
 from prelie_calculus.catalog import b_family, b_lie
-from prelie_calculus.dga import _Calculus
 from prelie_calculus.exact_core import (
     GenPoly,
     L_ONE,
@@ -34,6 +33,8 @@ from prelie_calculus.metric import (
     standard_metric,
 )
 from prelie_calculus.prelie import PreLieProduct
+
+from form_calculus import FormCalculus
 
 L = LambdaScalar((ZERO, ONE))
 X = GenPoly.monomial(1, 0)
@@ -183,15 +184,16 @@ FAMILIES = [("b1", Fraction(3)), ("b1", Fraction(-2, 3)),
 class TestFormRuleFromXi:
     @pytest.mark.parametrize("calc, param", FAMILIES)
     def test_matches_dga_form_mul(self, calc, param):
-        """d(xi) . x^a t^b agrees with dga's product of d(xi) with the
-        PBW word x^a t^b over b, for a, b <= 3: two modules, one rule."""
-        dga = _Calculus(b_family(calc, param), b_lie())
+        """d(xi) . x^a t^b agrees with the rewriting product of d(xi)
+        with the PBW word x^a t^b over b (form_calculus, the oracle of
+        dga's first order), for a, b <= 3: two modules, one rule."""
+        oracle = FormCalculus(b_family(calc, param), b_lie())
         for xi in (DX, DT):
             for a in range(4):
                 for b in range(4):
                     word = (0,) * a + (1,) * b
-                    got = dga.form_mul({((), (xi,)): L_ONE},
-                                       {(word, ()): L_ONE})
+                    got = oracle.form_mul({((), (xi,)): L_ONE},
+                                          {(word, ()): L_ONE})
                     expect = {
                         (forms[0], (Fraction(w.count(0)), w.count(1))): q
                         for (w, forms), q in got.items()}
@@ -200,14 +202,14 @@ class TestFormRuleFromXi:
 
     @pytest.mark.parametrize("calc, param", FAMILIES)
     def test_two_form_matches_dga_form_mul(self, calc, param):
-        """dx ^ dt . x^a t^b agrees with dga's product for a, b <= 2: the
-        function passes dt first, then dx."""
-        dga = _Calculus(b_family(calc, param), b_lie())
+        """dx ^ dt . x^a t^b agrees with the rewriting product for
+        a, b <= 2: the function passes dt first, then dx."""
+        oracle = FormCalculus(b_family(calc, param), b_lie())
         for a in range(3):
             for b in range(3):
                 word = (0,) * a + (1,) * b
-                got = dga.form_mul({((), (DX, DT)): L_ONE},
-                                   {(word, ()): L_ONE})
+                got = oracle.form_mul({((), (DX, DT)): L_ONE},
+                                      {(word, ()): L_ONE})
                 expect = {}
                 for (w, forms), q in got.items():
                     expect.setdefault(forms, {})[w.count(0), w.count(1)] = q

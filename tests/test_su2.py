@@ -3,7 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from prelie_calculus.exact_core import I, L_ONE, L_ZERO, LambdaScalar, ONE, Scalar, ZERO
+from prelie_calculus.catalog import su2_dual_lie, su2_dual_prelie
+from prelie_calculus.exact_core import (
+    I, L_ONE, L_ZERO, LambdaScalar, ONE, Scalar, Tensor, ZERO,
+)
+from prelie_calculus.prelie import PreLieProduct, check_compatibility
 from prelie_calculus.su2 import (
     SL2Poly,
     _displayed_cross_relation,
@@ -109,8 +113,12 @@ class TestVerifications:
         assert verify_su2_bicrossproduct_omega().witnesses == ()
 
     def test_mutated_xi_breaks_compatibility(self):
-        from prelie_calculus.su2 import _semiclassical_xi
-        from prelie_calculus.catalog import su2_dual_lie
-        from prelie_calculus.prelie import check_compatibility
-        assert not check_compatibility(_semiclassical_xi(mutated=True),
-                                       su2_dual_lie())
+        """The transcription guard of verify_su2_semiclassical: Xi(phi,
+        psi+) = -i in place of -i/2 breaks compatibility with the dual
+        bracket."""
+        X = su2_dual_prelie()
+        mutant = PreLieProduct(3, X.basis_names, Tensor(
+            (3, 3, 3), {**X.xi.entries, (0, 1, 1): -I}))
+        assert X.xi.get(0, 1, 1) == -I * Scalar(Fraction(1, 2))
+        assert check_compatibility(X, su2_dual_lie())
+        assert not check_compatibility(mutant, su2_dual_lie())
