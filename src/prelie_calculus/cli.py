@@ -129,20 +129,25 @@ def tensor_triples(t: Tensor):
 def _parse_scalar(v):
     """Accept int, [num, den], or [re_n, re_d, im_n, im_d]."""
     if isinstance(v, list) and len(v) == 4:
-        return Scalar(_parse_fraction(v[:2], "scalar"),
-                      _parse_fraction(v[2:], "scalar"))
-    return Scalar(_parse_fraction(v, "scalar"))
+        return Scalar.from_ratios(*_parse_ratio(v[:2], "scalar"),
+                                  *_parse_ratio(v[2:], "scalar"))
+    return Scalar.from_ratios(*_parse_ratio(v, "scalar"), 0, 1)
 
 
-def _parse_fraction(v, what="rational"):
+def _parse_ratio(v, what):
     """Accept int or [num, den] with integer parts (JSON true and false
-    are not numbers here) and a nonzero denominator."""
+    are not numbers here) and a nonzero denominator, as (num, den)."""
     num, den = v if isinstance(v, list) and len(v) == 2 else (v, 1)
     if type(num) is not int or type(den) is not int:
         raise SchemaError(f"bad {what} encoding {v!r}")
     if den == 0:
         raise SchemaError(f"zero denominator in {v!r}")
-    return Fraction(num, den)
+    return num, den
+
+
+def _parse_fraction(v):
+    """A rational parameter: int or [num, den], as a Fraction."""
+    return Fraction(*_parse_ratio(v, "rational"))
 
 
 def _parse_int(v, what):
@@ -200,7 +205,13 @@ def _parse_prelie(payload):
             raise SchemaError(f"index out of range in {row!r}")
         if (i, j, k) in entries:
             raise SchemaError(f"repeated coefficient triple {row!r}")
-        entries[(i, j, k)] = _parse_scalar(row[3:])
+        # four nonzero-denominator ints go straight in; anything else
+        # takes _parse_scalar for its error
+        a, da, b, db = row[3:]
+        if type(a) is type(da) is type(b) is type(db) is int and da and db:
+            entries[(i, j, k)] = Scalar.from_ratios(a, da, b, db)
+        else:
+            entries[(i, j, k)] = _parse_scalar(row[3:])
     return PreLieProduct(dim, tuple(names), Tensor((dim, dim, dim), entries))
 
 

@@ -175,10 +175,14 @@ def check_calculus(m: LieAlgebra, prelie: PreLieProduct, max_len: int,
     at lambda = lambda_value is the constants for every product and
     every lambda (README); the triangular certificate of _connected
     checks that on this d table, and a table that fails it raises
-    AssertionError, an internal error.
+    AssertionError, an internal error.  The (R)/(D) reduction needs m
+    antisymmetric; a bracket that is not raises ValueError.
     """
     if prelie.dim != m.dim:
         raise ValueError("dimension mismatch")
+    bracket = m.bracket.entries
+    if any(bracket.get((j, i, k)) != -v for (i, j, k), v in bracket.items()):
+        raise ValueError("bracket is not antisymmetric")
     first = _first_order(m, prelie)
     if not _connected(_Calculus(prelie), _pbw_words(m.dim, max_len),
                       lambda_value):

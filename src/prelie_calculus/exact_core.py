@@ -107,11 +107,21 @@ class Scalar:
     __slots__ = ("_re", "_im", "_den")
 
     def __new__(cls, re=0, im=0):
-        a, da = _ratio(re)
-        b, db = _ratio(im)
-        if da == db:
-            return _reduced(a, b, da)
-        return _reduced(a * db, b * da, da * db)
+        return Scalar.from_ratios(*_ratio(re), *_ratio(im))
+
+    @staticmethod
+    def from_ratios(re_num, re_den, im_num, im_den):
+        """The Scalar re_num/re_den + (im_num/im_den)*i of four ints,
+        built without a Fraction."""
+        if not (re_den and im_den):
+            raise ZeroDivisionError("Scalar part with zero denominator")
+        if re_den < 0:
+            re_num, re_den = -re_num, -re_den
+        if im_den < 0:
+            im_num, im_den = -im_num, -im_den
+        if re_den == im_den:
+            return _reduced(re_num, im_num, re_den)
+        return _reduced(re_num * im_den, im_num * re_den, re_den * im_den)
 
     @property
     def re(self):
@@ -627,30 +637,103 @@ def _canonical(spec):
     return canon, _tuple_getter([canon_out.index(c) for c in renamed])
 
 
-def _contract(spec, operands, memo):
-    """Output shape, denominator and a dict from output keys to Gaussian
-    integer pairs (re, im), zeros included: the contraction is the dict
-    divided by the denominator.  The dict may be the memo's own.
+def _packs(right, buckets):
+    """The width rule of a pairwise join: pack the right operand into
+    big integers when its mean bucket holds at least 4 entries, so that
+    one big-integer multiply replaces at least 4 Python-level
+    multiply-adds, and at least half the lanes (the kept right keys),
+    since every output row is unpacked lane by lane: sparse buckets, as
+    in a direct sum of many small blocks, would pay for lanes they never
+    fill."""
+    if len(right) < 4 * len(buckets):
+        return False
+    lanes = {rest for hits in buckets.values() for rest, _, _ in hits}
+    return 2 * len(right) >= len(buckets) * len(lanes)
 
-    The contraction is made on the canonical spec, once per memo and
-    operands, and re-keyed to spec's output, so the terms of a signed
-    sum that are one contraction up to labels cost one."""
-    shapes = tuple(t.shape for t in operands)
-    shape = _plan(spec, shapes)[0]
-    canon, reorder = _canonical(spec)
-    key = (canon, *map(id, operands))
-    hit = memo.get(key)
-    if hit is None:
-        hit = memo[key] = _contract_canonical(canon, shapes, operands, memo)
-    den, part = hit
-    if reorder is not None:
-        part = {reorder(k): v for k, v in part.items()}
-    return shape, den, part
+
+def _join(cur, buckets, key_l, left_l):
+    """The entry-by-entry join: every left entry is multiplied into each
+    right entry of its bucket, one Python-level multiply-add each."""
+    acc = {}
+    get = acc.get
+    for key, (a, b) in cur.items():
+        hits = buckets.get(key_l(key))
+        if hits is None:
+            continue
+        left = left_l(key)
+        for rest, c, d in hits:
+            k = left + rest
+            old = get(k)
+            if old is None:
+                acc[k] = (a * c - b * d, a * d + b * c)
+            else:
+                acc[k] = (old[0] + a * c - b * d, old[1] + a * d + b * c)
+    return acc
+
+
+def _packed_join(cur, right, buckets, key_l, left_l):
+    """The join of _join by Kronecker substitution: each right-kept key
+    gets a lane of w bits, each bucket becomes two ints (real and
+    imaginary lanes), and each left entry adds itself into its output row
+    with four big-integer multiplies.  No lane of a finished row reaches
+    2^(w-1) in absolute value, so adding 2^(w-1) to every lane makes each
+    one a w-bit digit and the rows unpack exactly."""
+    lanes = {}
+    for hits in buckets.values():
+        for rest, _, _ in hits:
+            if rest not in lanes:
+                lanes[rest] = len(lanes)
+    # a lane sums products a*c - b*d over left and right entries, each
+    # at most (|a| + |b|) (|c| + |d|) in absolute value
+    w = (sum(abs(a) + abs(b) for a, b in cur.values())
+         * max(abs(c) + abs(d) for c, d in right.values())
+         * len(right)).bit_length() + 1
+    packed = {}
+    for key, hits in buckets.items():
+        re = im = 0
+        for rest, c, d in hits:
+            shift = w * lanes[rest]
+            re += c << shift
+            im += d << shift
+        packed[key] = (re, im)
+    rows = {}
+    get = rows.get
+    for key, (a, b) in cur.items():
+        hit = packed.get(key_l(key))
+        if hit is None:
+            continue
+        c, d = hit
+        left = left_l(key)
+        old = get(left)
+        if old is None:
+            rows[left] = (a * c - b * d, a * d + b * c)
+        else:
+            rows[left] = (old[0] + a * c - b * d, old[1] + a * d + b * c)
+    mask = (1 << w) - 1
+    half = 1 << (w - 1)
+    offset = half * ((1 << w * len(lanes)) - 1) // mask
+    acc = {}
+    for left, (re, im) in rows.items():
+        if not (re or im):
+            continue
+        re += offset
+        im += offset
+        for rest in lanes:
+            a = (re & mask) - half
+            b = (im & mask) - half
+            re >>= w
+            im >>= w
+            if a or b:
+                acc[left + rest] = (a, b)
+    return acc
 
 
 def _contract_canonical(spec, shapes, operands, memo):
-    """Denominator and dict of _contract, by joining the operands left
-    to right as the plan of spec says."""
+    """Denominator and dict from output keys to Gaussian integer pairs
+    (re, im) of the contraction of a canonical spec: the contraction is
+    the dict divided by the denominator.  The operands are joined left
+    to right as the plan of spec says, each join packed or entry by
+    entry as _packs says."""
     _, joins, final = _plan(spec, shapes)
     den, cur = _gaussian(operands[0], memo)
     for (key_r, rest_r, key_l, left_l), t in zip(joins, operands[1:]):
@@ -659,21 +742,10 @@ def _contract_canonical(spec, shapes, operands, memo):
         buckets = {}
         for key, (c, d) in right.items():
             buckets.setdefault(key_r(key), []).append((rest_r(key), c, d))
-        acc = {}
-        get = acc.get
-        for key, (a, b) in cur.items():
-            hits = buckets.get(key_l(key))
-            if hits is None:
-                continue
-            left = left_l(key)
-            for rest, c, d in hits:
-                k = left + rest
-                old = get(k)
-                if old is None:
-                    acc[k] = (a * c - b * d, a * d + b * c)
-                else:
-                    acc[k] = (old[0] + a * c - b * d, old[1] + a * d + b * c)
-        cur = acc
+        if buckets and _packs(right, buckets):
+            cur = _packed_join(cur, right, buckets, key_l, left_l)
+        else:
+            cur = _join(cur, buckets, key_l, left_l)
     if final is None:
         return den, cur
     # a canonical spec ends in its output order, so the final projection
@@ -689,17 +761,13 @@ def _contract_canonical(spec, shapes, operands, memo):
 
 def tensor_contract(spec, *operands) -> Tensor:
     """Sparse einsum over Tensors, e.g. tensor_contract("ijm,mko->ijko",
-    c, c) = sum_m c[i,j,m] c[m,k,o].
+    c, c) = sum_m c[i,j,m] c[m,k,o]: the one-term contract_sum.
 
     Each operand gets one label per axis; labels absent from the output
     are summed over, and a single operand with a permuted output is a
-    pure axis reorder.  Only nonzero entries are ever visited.  The
-    arithmetic is exact over the Gaussian integers: each operand's
-    denominators are cleared once, and Scalars are built only for the
-    nonzero output entries.
+    pure axis reorder.
     """
-    shape, den, part = _contract(spec, operands, {})
-    return Tensor._gaussian_over(shape, den, part)
+    return contract_sum([(1, spec, *operands)])
 
 
 def contract_sum(terms) -> Tensor:
@@ -708,31 +776,58 @@ def contract_sum(terms) -> Tensor:
     holds exactly the nonzero entries, so a checker reads its witnesses
     off the leading indices of its keys.
 
-    Each operand's denominators are cleared once per call, however many
-    terms it appears in; every term is contracted over the Gaussian
-    integers and rescaled to one common denominator, the lcm of the
-    terms' denominators, and Scalars are built only for the nonzero
-    sums.
+    Only nonzero entries are ever visited, and the arithmetic is exact
+    over the Gaussian integers.  Each operand's denominators are cleared
+    once per call, however many terms it appears in.  Each spec is
+    renamed canonically (labels in order of first occurrence, output in
+    that order), so terms that are one contraction up to label names and
+    output order on the same operands are contracted once and re-keyed
+    as they are summed.  Every term is rescaled to one common
+    denominator, the lcm of the terms' denominators, and Scalars are
+    built only for the nonzero sums.
+
+    A pairwise join whose right operand has, per bucket of its shared
+    key and on average, at least 4 entries and at least half of its kept
+    keys (_packs) is made by Kronecker substitution: the right entries of each bucket are packed into two
+    ints, real and imaginary parts, one lane of w bits per kept key, with
+    w = bit_length(S_l * M_r * N_r) + 1 for S_l the sum of |re| + |im|
+    over the left entries, M_r the largest |re| + |im| of a right entry
+    and N_r the number of right entries.  Each left entry then adds a
+    whole output row with four big-integer multiplies.  A lane of a
+    finished row is a sum of products of one left and one right entry,
+    so its absolute value is at most S_l * M_r * N_r < 2^(w-1); adding
+    2^(w-1) to every lane makes each one a w-bit digit of a nonnegative
+    int, and the rows unpack exactly.  Narrower joins, such as those of
+    the catalog's small tensors, go entry by entry.
     """
     memo = {}
     parts = []
     for sign, spec, *operands in terms:
         if sign not in (1, -1):
             raise ValueError(f"sign must be +1 or -1, got {sign!r}")
-        term_shape, den, part = _contract(spec, operands, memo)
+        shapes = tuple(t.shape for t in operands)
+        term_shape = _plan(spec, shapes)[0]
         if parts and term_shape != shape:
             raise ValueError(f"term {spec!r} has shape {term_shape}, "
                              f"expected {shape}")
         shape = term_shape
-        parts.append((sign, den, part))
+        canon, reorder = _canonical(spec)
+        key = (canon, *map(id, operands))
+        hit = memo.get(key)
+        if hit is None:
+            hit = memo[key] = _contract_canonical(canon, shapes, operands,
+                                                  memo)
+        parts.append((sign, reorder, *hit))
     if not parts:
         raise ValueError("contract_sum needs at least one term")
-    common = lcm(*(den for _, den, _ in parts))
+    common = lcm(*(den for _, _, den, _ in parts))
     acc = {}
     get = acc.get
-    for sign, den, part in parts:
+    for sign, reorder, den, part in parts:
         s = sign * (common // den)
-        for k, (a, b) in part.items():
+        items = part.items() if reorder is None else \
+            zip(map(reorder, part), part.values())
+        for k, (a, b) in items:
             old = get(k)
             if old is None:
                 acc[k] = (s * a, s * b)

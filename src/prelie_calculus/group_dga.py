@@ -67,7 +67,9 @@ def _generators(cayley, identity):
     """A generating set of the table, chosen greedily: the least element
     outside the left-normed products of the generators so far.  In a
     group those products form the subgroup they generate, which each new
-    generator at least doubles, so there are at most log2(s) of them."""
+    generator at least doubles, so there are at most log2(s) of them; a
+    generator that does not double them shows the table is no group and
+    raises ValueError."""
     reached = [False] * len(cayley)
     reached[identity] = True
     products = [identity]
@@ -76,6 +78,7 @@ def _generators(cayley, identity):
         if reached[g]:
             continue
         gens.append(g)
+        before = len(products)
         stack = [cayley[x][g] for x in products]
         while stack:
             y = stack.pop()
@@ -83,6 +86,11 @@ def _generators(cayley, identity):
                 reached[y] = True
                 products.append(y)
                 stack.extend(cayley[y][h] for h in gens)
+        if len(products) < 2 * before:
+            raise ValueError(
+                f"cayley table is not a group: generator {g} takes the "
+                f"products of the generators from {before} to "
+                f"{len(products)} elements, less than double")
     return gens
 
 
@@ -116,8 +124,8 @@ def _validate(data: GroupDGAData):
     # only: the elements g for which it holds for all a, c contain the
     # identity and are closed under products, as for two of them
     #   (a (g h)) c = ((a g) h) c = (a g) (h c) = a (g (h c)) = a ((g h) c),
-    # so they are every element.  O(s^2 log s) on a group; a table that
-    # is no group may need up to s generators
+    # so they are every element.  _generators passes at most log2(s)
+    # generators, so this is O(s^2 log s)
     for b in _generators(cayley, identity):
         row_b = cayley[b]
         for a, row_a in enumerate(cayley):

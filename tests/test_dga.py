@@ -564,6 +564,19 @@ class TestFirstOrder:
             check_calculus(b_lie(), b_family("b4"), 3,
                            Scalar(Fraction(3, 7)))
 
+    def test_symmetric_bracket_is_refused(self):
+        """The zero product over [x,t] = [t,x] = x: the (R)/(D) reduction
+        would report only ("bracket", 0, 1), where rewriting the
+        relations also finds ("bimodule", 0, 1), so check_calculus
+        refuses the bracket instead."""
+        zero = PreLieProduct(2, ("x", "t"), Tensor((2, 2, 2), {}))
+        symmetric = LieAlgebra(2, ("x", "t"), Tensor((2, 2, 2), {
+            (0, 1, 0): ONE, (1, 0, 0): ONE}))
+        assert rewriting_first_order(FormCalculus(zero, symmetric)) \
+            == Verdict([("bracket", 0, 1), ("bimodule", 0, 1)])
+        with pytest.raises(ValueError, match="not antisymmetric"):
+            check_calculus(symmetric, zero, 3, ONE)
+
 
 def d_forms(calc, terms):
     """d on forms, the graded super-derivation with d(de_i) = 0: the

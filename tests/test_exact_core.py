@@ -53,6 +53,16 @@ class TestScalar:
         with pytest.raises(ZeroDivisionError):
             ONE / ZERO
 
+    @given(st.integers(-10**20, 10**20), st.integers(-50, 50),
+           st.integers(-10**20, 10**20), st.integers(-50, 50))
+    def test_from_ratios_is_the_fraction_constructor(self, a, da, b, db):
+        if da and db:
+            assert Scalar.from_ratios(a, da, b, db).triple \
+                == Scalar(Fraction(a, da), Fraction(b, db)).triple
+        else:
+            with pytest.raises(ZeroDivisionError):
+                Scalar.from_ratios(a, da, b, db)
+
 
 class TestLambdaScalar:
     def test_lambda_star_is_minus_lambda(self):
@@ -393,6 +403,183 @@ class TestTensorContract:
         assert dense[0] == dense[1]
         assert contract_sum(terms) == dense[0] - dense[1] + dense[2]
         assert contract_sum(terms[:2]).is_zero()
+
+
+def dense_tensor(rng, shape, height, den=1):
+    """A tensor with every entry nonzero: Gaussian rationals with parts
+    of either sign up to height and denominators up to den."""
+    def part():
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, height),
+                        rng.randint(1, den))
+
+    return Tensor(shape, {idx: Scalar(part(), part())
+                          for idx in itertools.product(*map(range, shape))})
+
+
+def branches(terms):
+    """contract_sum of terms with every join packed, and with none."""
+    out = []
+    for packs in (True, False):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(exact_core, "_packs", lambda right, buckets: packs)
+            out.append(contract_sum(terms))
+    return out
+
+
+def joins_taken(monkeypatch):
+    """The list that records, from now on, whether each pairwise join
+    is packed."""
+    taken = []
+    width_rule = exact_core._packs
+
+    def recorded(right, buckets):
+        taken.append(width_rule(right, buckets))
+        return taken[-1]
+
+    monkeypatch.setattr(exact_core, "_packs", recorded)
+    return taken
+
+
+class TestPackedJoin:
+    """The packed (Kronecker) join against the entry-by-entry join and
+    the dense reference."""
+
+    LEFT_SYMMETRY = "ijm,mko->ijko", "jim,mko->ijko", "jkm,imo->ijko", \
+        "ikm,jmo->ijko"
+
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    def test_dense_operands(self, n):
+        rng = random.Random(n)
+        xi = dense_tensor(rng, (n, n, n), 700, den=3)
+        other = dense_tensor(rng, (n, n, n), 50)
+        want = dense_einsum("ijm,mko->ijko", xi, other)
+        assert contract_sum([(1, "ijm,mko->ijko", xi, other)]) == want
+        assert branches([(1, "ijm,mko->ijko", xi, other)]) == [want, want]
+        terms = [(sign, spec, xi, xi)
+                 for sign, spec in zip((1, -1, -1, 1), self.LEFT_SYMMETRY)]
+        packed, narrow = branches(terms)
+        assert packed == narrow == contract_sum(terms)
+        assert not packed.is_zero()
+
+    @pytest.mark.parametrize("height", [10**6, 10**18, 10**30])
+    def test_large_heights(self, height):
+        rng = random.Random(height)
+        a = dense_tensor(rng, (4, 4, 4), height, den=7)
+        b = dense_tensor(rng, (4, 4, 4), height, den=5)
+        want = dense_einsum("ijm,mko->ijko", a, b)
+        assert branches([(1, "ijm,mko->ijko", a, b)]) == [want, want]
+        # a difference whose big entries cancel to small ones
+        c = b + dense_tensor(rng, (4, 4, 4), 3)
+        terms = [(1, "ijm,mko->ijko", a, c), (-1, "ijm,mko->ijko", a, b)]
+        assert branches(terms) == [dense_einsum("ijm,mko->ijko", a, c - b)] * 2
+
+    @pytest.mark.parametrize("m", [1, 2**50 - 1, 2**50, 3**40, 10**30])
+    @pytest.mark.parametrize("spec, left, right, tight_left, tight_right", [
+        # right entries summed into one lane inside a bucket
+        ("ab,bcd->ad", (3, 3), (3, 5, 1),
+         [(0, 0)], [(0, c, 0) for c in range(5)]),
+        # left entries summed into one row
+        ("abc,cd->ad", (3, 5, 3), (3, 3),
+         [(0, b, 0) for b in range(5)], [(0, 0)]),
+    ])
+    @pytest.mark.parametrize("signs", [(1, 1), (-1, 1), (1, -1), (-1, -1)])
+    def test_lanes_at_the_bound(self, m, spec, left, right, tight_left,
+                                tight_right, signs):
+        """Every entry is +-m, one sign per operand, so nothing cancels
+        and every output entry of the full operands is +-15 m^2.
+        On the tight operands the (0, 0) lane is exactly the bound
+        S_l M_r N_r of contract_sum's docstring, or its negative."""
+        sl, sr = signs
+
+        def tensor(shape, sign, keys):
+            return Tensor(shape, {idx: Scalar(sign * m) for idx in keys})
+
+        t = tensor(left, sl, itertools.product(*map(range, left)))
+        u = tensor(right, sr, itertools.product(*map(range, right)))
+        want = dense_einsum(spec, t, u)
+        assert want.get(0, 0) == Scalar(sl * sr * 15 * m * m)
+        assert branches([(1, spec, t, u)]) == [want, want]
+        t, u = tensor(left, sl, tight_left), tensor(right, sr, tight_right)
+        want = dense_einsum(spec, t, u)
+        bound = len(tight_left) * m * m * len(tight_right)
+        assert want.get(0, 0) == Scalar(sl * sr * bound)
+        assert branches([(1, spec, t, u)]) == [want, want]
+
+    @pytest.mark.parametrize("m", [2**60, 10**30])
+    def test_complex_lanes_at_the_bound(self, m):
+        """Entries m(1 + i) and m(1 - i): every product is +-2 m^2 or
+        +-2 m^2 i, so both parts of a lane reach their extremes."""
+        rng = random.Random(m)
+        units = (Scalar(m, m), Scalar(m, -m), Scalar(-m, m), Scalar(-m, -m))
+        t = Tensor((4, 4, 4), {idx: rng.choice(units) for idx in
+                               itertools.product(range(4), repeat=3)})
+        u = Tensor((4, 4, 4), {idx: units[0] for idx in
+                               itertools.product(range(4), repeat=3)})
+        for spec in ("ijm,mko->ijko", "ijm,mjo->io"):
+            want = dense_einsum(spec, t, u)
+            assert branches([(1, spec, t, u)]) == [want, want]
+
+    @pytest.mark.parametrize("spec, shapes", [
+        ("abc,cd->ad", ((5, 5, 5), (5, 5))),
+        ("ab,bcd->ad", ((5, 5), (5, 5, 5))),
+        ("ijk,kj->i", ((5, 5, 5), (5, 5))),
+        ("ijm,mjo->io", ((5, 5, 5), (5, 5, 5))),
+    ])
+    def test_labels_summed_inside_an_operand(self, spec, shapes):
+        rng = random.Random(spec)
+        ops = [dense_tensor(rng, shape, 99, den=4) for shape in shapes]
+        want = dense_einsum(spec, *ops)
+        assert branches([(1, spec, *ops)]) == [want, want]
+
+    @pytest.mark.parametrize("spec, shapes", [
+        ("ay,apx,pz->xyz", ((5, 5), (5, 5, 5), (5, 5))),
+        ("ijk,ia,jb,ck->abc", ((4, 4, 4), (4, 4), (4, 4), (4, 4))),
+        ("ab,bc,cd->ad", ((6, 6), (6, 6), (6, 6))),
+    ])
+    def test_three_or_more_operands(self, spec, shapes):
+        rng = random.Random(spec)
+        ops = [dense_tensor(rng, shape, 30, den=2) for shape in shapes]
+        want = dense_einsum(spec, *ops)
+        assert contract_sum([(1, spec, *ops)]) == want
+        assert branches([(1, spec, *ops)]) == [want, want]
+
+    def test_width_rule_picks_the_branch(self, monkeypatch):
+        """Every join of a catalog check, construct or calculus run goes
+        entry by entry; both joins of left symmetry on a dense dim-7
+        product are packed, and on a direct sum of ten dense dim-3
+        blocks, whose buckets each fill a tenth of the lanes, neither
+        is."""
+        import contextlib
+        import io
+
+        from prelie_calculus import cli
+        from prelie_calculus.catalog import load_catalog
+        from prelie_calculus.prelie import PreLieProduct, check_left_symmetry
+
+        taken = joins_taken(monkeypatch)
+        for entry in load_catalog():
+            argvs = [["check", "--instance", entry["id"]],
+                     ["construct", "--instance", entry["id"]]]
+            if entry["kind"] == "prelie":
+                argvs.append(["calculus", "--instance", entry["id"],
+                              "--max-len", "3"])
+            for argv in argvs:
+                with contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(io.StringIO()):
+                    cli.main(argv)
+        assert len(taken) > 100 and not any(taken)
+        xi = dense_tensor(random.Random(7), (7, 7, 7), 700)
+        del taken[:]
+        check_left_symmetry(PreLieProduct(7, tuple("abcdefg"), xi))
+        assert taken == [True, True]
+        block = dense_tensor(random.Random(3), (3, 3, 3), 9).entries
+        blocks = Tensor((30, 30, 30), {
+            tuple(3 * b + i for i in idx): v
+            for b in range(10) for idx, v in block.items()})
+        del taken[:]
+        check_left_symmetry(PreLieProduct(30, tuple(map(str, range(30))),
+                                          blocks))
+        assert taken == [False, False]
 
 
 class TestLinearKernel:

@@ -12,7 +12,7 @@ from math import comb
 
 import pytest
 
-from prelie_calculus import cli
+from prelie_calculus import cli, group_dga
 from prelie_calculus.exact_core import ONE, Scalar, ZERO
 from prelie_calculus.group_dga import (
     GroupDGA,
@@ -24,6 +24,22 @@ from prelie_calculus.group_dga import (
     s3_instance,
     z2_instance,
 )
+
+
+def greedy_generators(cayley, identity):
+    """The greedy generators of _generators without its doubling rule:
+    on a table that is no group they may be up to s elements."""
+    reached = {identity}
+    gens = []
+    for g in range(len(cayley)):
+        if g not in reached:
+            gens.append(g)
+            frontier = set(reached)
+            while frontier:
+                frontier = {cayley[x][h] for x in frontier
+                            for h in gens} - reached
+                reached |= frontier
+    return gens
 
 
 def trivial_instance() -> GroupDGA:
@@ -214,10 +230,14 @@ class TestValidation:
         a, b, c = ast.literal_eval(str(exc.value).rsplit(" at ", 1)[1])
         assert cayley[cayley[a][b]][c] != cayley[a][cayley[b][c]]
 
-    def test_associativity_agrees_with_the_full_scan(self):
+    def test_associativity_agrees_with_the_full_scan(self, monkeypatch):
         """On every table of order 3 with identity 0, on Z_4 and Z_2 x Z_2
         and on seeded tables of order 4, the test on generators refuses a
-        table exactly when some triple is not associative."""
+        table exactly when some triple is not associative, once the
+        greedy generators run to the end (greedy_generators).  With the
+        doubling rule of _generators the validator accepts exactly the
+        groups, and refuses a table as not associative or as not a group
+        only when it is not."""
         def table(size, free):
             free = iter(free)
             return tuple(tuple(h if g == 0 else g if h == 0 else next(free)
@@ -230,20 +250,52 @@ class TestValidation:
                    tuple(tuple(g ^ h for h in range(4)) for g in range(4))]
         tables += [table(4, (rng.randrange(4) for _ in range(9)))
                    for _ in range(200)]
+        def refusal(cayley):
+            try:
+                GroupDGA(GroupDGAData(cayley=cayley,
+                                      action=((0,),) * len(cayley),
+                                      theta=(ONE,)))
+            except ValueError as exc:
+                return str(exc)
+            return None
+
         outcomes = Counter()
         for cayley in tables:
             size = len(cayley)
             scan = all(cayley[cayley[a][b]][c] == cayley[a][cayley[b][c]]
                        for a, b, c in iproduct(range(size), repeat=3))
-            try:
-                GroupDGA(GroupDGAData(cayley=cayley,
-                                      action=((0,),) * size, theta=(ONE,)))
-                refused = False
-            except ValueError as exc:
-                refused = "not associative" in str(exc)
-            assert refused == (not scan), cayley
-            outcomes[scan] += 1
-        assert outcomes[True] >= 2 and outcomes[False]
+            group = scan and all(
+                any(cayley[g][h] == cayley[h][g] == 0 for h in range(size))
+                for g in range(size))
+            with monkeypatch.context() as mp:
+                mp.setattr(group_dga, "_generators", greedy_generators)
+                msg = refusal(cayley)
+            assert (msg is not None and "not associative" in msg) \
+                == (not scan), cayley
+            msg = refusal(cayley)
+            assert (msg is None) == group, cayley
+            if msg is not None and "not associative" in msg:
+                assert not scan, cayley
+            outcomes[scan, msg is not None and "not a group" in msg] += 1
+        assert outcomes[True, False] >= 2 and outcomes[False, False]
+        assert outcomes[True, True] and outcomes[False, True]
+
+    def test_max_is_refused_fast(self):
+        """max on 0..299 is associative with identity 0 and no inverses;
+        its greedy generators 1, 2, ... add one element each, so the
+        second already fails to double and the table is refused before
+        Light's test would run over all 299 of them."""
+        size = 300
+        data = GroupDGAData(
+            cayley=tuple(tuple(max(a, b) for b in range(size))
+                         for a in range(size)),
+            action=((0,),) * size, theta=(ONE,))
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=re.escape(
+                "not a group: generator 2 takes the products of the "
+                "generators from 2 to 3 elements, less than double")):
+            GroupDGA(data)
+        assert time.perf_counter() - start < 0.2
 
     @pytest.mark.parametrize("cayley, entry", [
         (((0, 1), (1, -2)), "-2 at (1, 1)"),
